@@ -19,7 +19,8 @@ def worker_count(n_tasks: int) -> int:
             limit = int(raw)
         except ValueError:
             raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
-        limit = max(1, limit)
+        # Capped too, so no setting can start thousands of threads.
+        limit = min(max(1, limit), 4 * (os.cpu_count() or 1))
     else:
         limit = min(4, os.cpu_count() or 1)
     return max(1, min(limit, n_tasks))

@@ -10,16 +10,16 @@ misclassification rates built from the paired controls:
   whenever the controls carry the run effects.  An empty set yields 1.
 
 * minimally adjusted: the in-set p_theta closest to p*, over the set at
-  level alpha.  When p* already lies within [inf p_theta, sup p_theta]
-  the result is exactly p*.  Best case in the sense of changing p* as
-  little as the controls allow; undefined (None) when the set is empty.
+  level alpha.  Every in-set value lies in [inf p_theta, sup p_theta],
+  so this is p* clamped to that range: exactly p* when it already lies
+  within it, otherwise the nearer endpoint.  Best case in the sense of
+  changing p* as little as the controls allow; undefined (None) when
+  the set is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .debias import AssayCounts, unadjusted_p
 from .nuisance import NuisanceGrid, SetConfig, build_grid
@@ -61,13 +61,7 @@ def _max_adjusted_from_grid(grid: NuisanceGrid, alpha_prime: float) -> float:
 def _min_adjusted_from_grid(grid: NuisanceGrid, p_star: float) -> float | None:
     if not grid.nonempty:
         return None
-    if grid.inf_p <= p_star <= grid.sup_p:
-        return p_star
-    candidates = grid.p_theta[grid.in_set]
-    distance = np.abs(candidates - p_star)
-    # ties in distance resolve toward the smaller p-value
-    best = int(np.lexsort((candidates, distance))[0])
-    return float(candidates[best])
+    return min(max(p_star, grid.inf_p), grid.sup_p)
 
 
 def max_adjusted_p(
@@ -106,7 +100,6 @@ def analyze_participant(
     grid_max = build_grid(counts, config_max, assume_equal_fn=assume_equal_fn)
     grid_min = build_grid(counts, config_min, assume_equal_fn=assume_equal_fn)
     p_min = _min_adjusted_from_grid(grid_min, p_star)
-    bracketed = grid_min.nonempty and grid_min.inf_p <= p_star <= grid_min.sup_p
     return ResponderResult(
         p_unadjusted=p_star,
         p_max_adjusted=_max_adjusted_from_grid(grid_max, config_max.alpha),
@@ -115,5 +108,6 @@ def analyze_participant(
         alpha_prime=config_max.alpha,
         set_nonempty=grid_max.nonempty,
         p_range=(grid_max.inf_p, grid_max.sup_p) if grid_max.nonempty else None,
-        unadjusted_in_set=bool(bracketed),
+        # The clamp leaves p* unchanged exactly when it lies in the bracket.
+        unadjusted_in_set=p_min == p_star,
     )

@@ -17,7 +17,7 @@ from .nuisance import ControlKind, SetConfig, build_grid
 from .simulate import SimulationConfig, SimulationSummary, run_cell
 from .studyio import (
     AnalysisConfig,
-    SchemaError,
+    _cell,
     analyze_study,
     load_study,
     write_report_csv,
@@ -97,23 +97,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_summary_csv(summary: SimulationSummary, stream) -> None:
     names = [f.name for f in fields(SimulationSummary)]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(names)
-    writer.writerow([_fmt(getattr(summary, name)) for name in names])
+    writer.writerow([_cell(getattr(summary, name)) for name in names])
 
 
 def _run_analyze(args) -> int:
     try:
         records = load_study(args.input)
-    except SchemaError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: SchemaError, undecodable bytes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.control_kind:
@@ -236,7 +230,7 @@ def _parse_grid_spec(text: str) -> tuple[dict, bool]:
 def _run_surface(args) -> int:
     try:
         records = load_study(args.input)
-    except SchemaError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: SchemaError, undecodable bytes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     match = [r for r in records if r.participant_id == args.participant]
@@ -271,6 +265,11 @@ def _run_surface(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # A missing --out directory is refused before any work, not after it.
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        print(f"error: --out directory {Path(args.out).parent} does not exist",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.command == "analyze":
         return _run_analyze(args)
     if args.command == "simulate":

@@ -193,10 +193,13 @@ def in_confidence_set(
 class NuisanceGrid:
     """Evaluated rate grid: membership and primary p-value per point.
 
-    Point arrays are deduplicated and sorted lexicographically by
-    (fp0, fn0, fp1, fn1).  p_theta is NaN at points whose correction
-    denominator is unusable; such points are never in the set.  sup_p
-    and inf_p are None exactly when the set is empty (nonempty False).
+    Point arrays are in evaluation order: the base mesh, then each
+    refinement block.  They may hold exact duplicates where clipped
+    refinement points coincide, so n_points counts evaluated points;
+    to_rows gives the distinct points sorted.  p_theta is NaN at points
+    whose correction denominator is unusable; such points are never in
+    the set.  sup_p and inf_p are None exactly when the set is empty
+    (nonempty False).
     """
 
     config: SetConfig
@@ -222,16 +225,17 @@ class NuisanceGrid:
         )
 
     def to_rows(self) -> Iterator[tuple[float, float, float, float, bool, float]]:
-        """Yield (fp0, fn0, fp1, fn1, in_set, p_theta) per grid point."""
-        for i in range(self.n_points):
-            yield (
-                float(self.fp0[i]),
-                float(self.fn0[i]),
-                float(self.fp1[i]),
-                float(self.fn1[i]),
-                bool(self.in_set[i]),
-                float(self.p_theta[i]),
-            )
+        """Yield (fp0, fn0, fp1, fn1, in_set, p_theta) per distinct grid point.
+
+        Rows are sorted lexicographically by (fp0, fn0, fp1, fn1); of
+        duplicated points the first evaluated is kept.
+        """
+        rows = np.column_stack([self.fp0, self.fn0, self.fp1, self.fn1])
+        _, keep = np.unique(rows, axis=0, return_index=True)
+        columns = (self.fp0, self.fn0, self.fp1, self.fn1, self.in_set, self.p_theta)
+        # By blocks: a default grid's Python floats at once add ~20 MB of peak.
+        for block in np.split(keep, range(8192, keep.size, 8192)):
+            yield from zip(*(column[block].tolist() for column in columns))
 
 
 def _axis(limit: float, n: int) -> np.ndarray:
@@ -256,7 +260,8 @@ def build_grid(
     flagged out of the set.  After the base rectangular enumeration,
     refine_levels rounds add local points around the in-set argmax and
     argmin of the primary p-value, halving the axis spacing each round,
-    so the reported [inf_p, sup_p] bracket can only widen.
+    so the reported [inf_p, sup_p] bracket can only widen.  Points are
+    kept in evaluation order, neither sorted nor deduplicated.
     """
     fp_max = config.fp_max if config.fp_max is not None else default_fp_max(counts)
     fn_max = config.fn_max
@@ -299,24 +304,12 @@ def build_grid(
                 an1 = _local_values(float(fn1[i]), h_fn, fn_max)
                 b0, bn0, b1, bn1 = np.meshgrid(a0, an0, a1, an1, indexing="ij")
                 blocks.append((b0.ravel(), bn0.ravel(), b1.ravel(), bn1.ravel()))
-        new_fp0 = np.concatenate([b[0] for b in blocks])
-        new_fn0 = np.concatenate([b[1] for b in blocks])
-        new_fp1 = np.concatenate([b[2] for b in blocks])
-        new_fn1 = np.concatenate([b[3] for b in blocks])
-        new_in, new_p = evaluate(new_fp0, new_fn0, new_fp1, new_fn1)
-        fp0 = np.concatenate([fp0, new_fp0])
-        fn0 = np.concatenate([fn0, new_fn0])
-        fp1 = np.concatenate([fp1, new_fp1])
-        fn1 = np.concatenate([fn1, new_fn1])
-        in_set = np.concatenate([in_set, new_in])
-        p_theta = np.concatenate([p_theta, new_p])
-
-    # np.unique sorts rows lexicographically and keeps first occurrences,
-    # which is exactly the deduplicated deterministic ordering wanted here.
-    rows = np.column_stack([fp0, fn0, fp1, fn1])
-    _, keep = np.unique(rows, axis=0, return_index=True)
-    fp0, fn0, fp1, fn1 = fp0[keep], fn0[keep], fp1[keep], fn1[keep]
-    in_set, p_theta = in_set[keep], p_theta[keep]
+        new = [np.concatenate(axis) for axis in zip(*blocks)]
+        new_in, new_p = evaluate(*new)
+        fp0, fn0, fp1, fn1, in_set, p_theta = (
+            np.concatenate(pair)
+            for pair in zip((fp0, fn0, fp1, fn1, in_set, p_theta), (*new, new_in, new_p))
+        )
 
     if in_set.any():
         selected = p_theta[in_set]

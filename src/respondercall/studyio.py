@@ -60,11 +60,12 @@ class StudyRecord:
 def load_study(path: str) -> list[StudyRecord]:
     """Read study records from a CSV file.
 
-    Raises SchemaError, naming the offending line, for a missing or
-    unknown column, a malformed value, counts that fail validation, or
-    a duplicated participant_id.
+    A UTF-8 byte order mark is ignored, and so are rows whose fields
+    are all blank.  Raises SchemaError, naming the offending line, for
+    a missing or unknown column, a malformed value, counts that fail
+    validation, or a duplicated participant_id.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -85,6 +86,8 @@ def load_study(path: str) -> list[StudyRecord]:
         seen: set[str] = set()
         for row in reader:
             line = reader.line_num
+            if not any(field.strip() for field in row):
+                continue
             if len(row) != len(names):
                 raise SchemaError(
                     f"{path}:{line}: expected {len(names)} fields, got {len(row)}"

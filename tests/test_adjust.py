@@ -134,6 +134,20 @@ def test_analyze_participant_matches_standalone_calls(participant_one):
     )
 
 
+def test_min_adjustment_clamps_through_a_rounding_tie():
+    # p* is near 0.99 and the in-set range is [0, ~4e-46]: both float
+    # distances to p* round to the same value, yet sup_p is the nearer.
+    counts = AssayCounts(183, 50_000, 141, 50_000, 38, 1_000, 20, 1_000)
+    config = SetConfig(alpha=0.05)
+    grid = build_grid(counts, config)
+    p_star = unadjusted_p(counts)
+    assert grid.inf_p == 0.0 < grid.sup_p < p_star
+    assert abs(grid.inf_p - p_star) == abs(grid.sup_p - p_star)
+    result = analyze_participant(counts, SetConfig(alpha=0.005), config)
+    assert result.p_min_adjusted == grid.sup_p
+    assert min_adjusted_p(counts, config) == grid.sup_p
+
+
 def test_worked_example_bundle(
     participant_one, participant_two, participant_three, pinned_config
 ):

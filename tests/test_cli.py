@@ -109,6 +109,28 @@ def test_analyze_rejects_unknown_out_suffix(golden_study_file, tmp_path):
     assert "--out" in proc.stderr
 
 
+def test_missing_input_and_out_directory_exit_2(golden_study_file, tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"participant_id,n0,N0,n1,N1,c0,C0,c1,C1\n\xe9,1,100,2,100,1,100,1,100\n")
+    for args in (["analyze"], ["surface", "--participant", "P1"]):
+        for path in (missing, str(latin1)):
+            proc = run_cli(*args, "--input", path)
+            assert proc.returncode == 2, (args[0], path, proc.stderr)
+            assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    out = str(tmp_path / "no_such_dir" / "out.csv")
+    for args in (
+        ["analyze", "--input", str(golden_study_file), *FAST_FLAGS],
+        ["surface", "--input", str(golden_study_file), "--participant", "P1"],
+        ["simulate", "--scenario", "I", "--gamma", "2", "--n-control", "1000",
+         "--reps", "2"],
+    ):
+        proc = run_cli(*args, "--out", out)
+        assert proc.returncode == 2, (args[0], proc.stderr)
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert "no_such_dir" in proc.stderr
+
+
 def test_simulate_writes_one_summary_row(tmp_path):
     out = tmp_path / "cell.csv"
     proc = run_cli(
@@ -158,12 +180,13 @@ def test_surface_exports_the_full_grid(golden_study_file, tmp_path):
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["fp0", "fn0", "fp1", "fn1", "in_set", "p_theta"]
-    assert len(rows) - 1 == grid.n_points
+    expected = list(grid.to_rows())
+    assert len(rows) - 1 == len(expected)
     for i in (1, len(rows) - 1):
         fp0, fn0, fp1, fn1, in_set, p_theta = rows[i]
         assert in_set in ("0", "1")
-        assert float(fp0) == float(grid.fp0[i - 1])
-        got, want = float(p_theta), float(grid.p_theta[i - 1])
+        assert float(fp0) == expected[i - 1][0]
+        got, want = float(p_theta), expected[i - 1][5]
         assert got == want or (math.isnan(got) and math.isnan(want))
     in_set_p = [
         float(r[5]) for r in rows[1:] if r[4] == "1"

@@ -182,10 +182,12 @@ def test_grid_membership_matches_scalar_recheck(participant_one):
 
 def test_grid_rows_sorted_and_unique(participant_one, pinned_config):
     grid = build_grid(participant_one, pinned_config)
-    rows = np.column_stack([grid.fp0, grid.fn0, grid.fp1, grid.fn1])
-    assert np.unique(rows, axis=0).shape[0] == grid.n_points
-    order = np.lexsort((grid.fn1, grid.fp1, grid.fn0, grid.fp0))
-    assert np.array_equal(order, np.arange(grid.n_points))
+    rows = np.array([row[:4] for row in grid.to_rows()])
+    points = np.column_stack([grid.fp0, grid.fn0, grid.fp1, grid.fn1])
+    assert rows.shape[0] == np.unique(points, axis=0).shape[0]
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+    order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0]))
+    assert np.array_equal(order, np.arange(rows.shape[0]))
 
 
 def test_equal_fn_grid_shares_the_axis(participant_one):
@@ -244,10 +246,10 @@ def test_theta_at_round_trips(participant_one):
     config = SetConfig(alpha=0.05, fp_max=0.001, fn_max=0.2, grid_fp=4, grid_fn=3,
                        refine_levels=0)
     grid = build_grid(participant_one, config)
-    rows = list(grid.to_rows())
+    rows = {row[:4]: row[4:] for row in grid.to_rows()}
     assert len(rows) == grid.n_points
     for i in (0, grid.n_points // 2, grid.n_points - 1):
         theta = grid.theta_at(i)
-        fp0, fn0, fp1, fn1, member, p_theta = rows[i]
-        assert (theta.fp0, theta.fn0, theta.fp1, theta.fn1) == (fp0, fn0, fp1, fn1)
+        member, p_theta = rows[(theta.fp0, theta.fn0, theta.fp1, theta.fn1)]
         assert isinstance(member, bool)
+        assert (member, p_theta) == (bool(grid.in_set[i]), float(grid.p_theta[i]))

@@ -1,6 +1,7 @@
 """Data generation, seeded parallel replication and cell summaries."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -144,6 +145,14 @@ def test_worker_count(monkeypatch):
     monkeypatch.setenv("RESPONDER_THREADS", "abc")
     with pytest.raises(ValueError):
         worker_count(100)
+    # The variable is capped at four workers per CPU; no thread is started.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setenv("RESPONDER_THREADS", "4")
+    assert worker_count(100) == 4
+    monkeypatch.setenv("RESPONDER_THREADS", str(10**9))
+    assert worker_count(10**9) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(10**9) == 4
 
 
 def test_summarize_arithmetic_by_hand():

@@ -85,6 +85,25 @@ def test_load_errors_name_the_line(tmp_path):
         )
 
 
+def test_load_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(
+        b"\xef\xbb\xbfparticipant_id,n0,N0,n1,N1,c0,C0,c1,C1\r\nA,1,100,2,100,1,100,1,100\r\n"
+    )
+    records = load_study(str(path))
+    assert [r.participant_id for r in records] == ["A"]
+
+
+def test_load_skips_blank_trailing_rows(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(
+        b"participant_id,n0,N0,n1,N1,c0,C0,c1,C1\r\nA,1,100,2,100,1,100,1,100\r\n\r\n"
+    )
+    records = load_study(str(path))
+    assert [r.participant_id for r in records] == ["A"]
+    assert records[0].counts == AssayCounts(1, 100, 2, 100, 1, 100, 1, 100)
+
+
 def test_per_protocol_boundary():
     at_floor = StudyRecord("at", AssayCounts(1, 10_000, 1, 12_000, 1, 100, 1, 100))
     below = StudyRecord("below", AssayCounts(1, 9_999, 1, 50_000, 1, 100, 1, 100))
