@@ -10,105 +10,22 @@ false negative rates the controls cannot rule out, and a best-case
 as those controls allow.
 """
 
-from .adjust import ResponderResult, analyze_participant, max_adjusted_p, min_adjusted_p
-from .debias import (
-    DENOM_EPS,
-    AssayCounts,
-    DegenerateRatesError,
-    InvalidCountsError,
-    MisclassRates,
-    control_z,
-    debias_proportion,
-    p_value_at,
-    responder_z,
-    unadjusted_p,
-)
-from .fdr import FdrDecision, bh_adjust
-from .nuisance import (
-    ControlKind,
-    NuisanceGrid,
-    SetConfig,
-    build_grid,
-    clopper_pearson_interval,
-    default_fp_max,
-    in_confidence_set,
-    wilson_interval,
-)
-from .simulate import (
-    CONTROL_PROPORTION,
-    SCENARIOS,
-    InstanceTruth,
-    Replication,
-    SimulationConfig,
-    SimulationSummary,
-    draw_instance,
-    run_cell,
-    run_replications,
-    summarize,
-    true_oracle_p,
-)
-from .studyio import (
-    AnalysisConfig,
-    AnalysisReport,
-    ParticipantAnalysis,
-    SchemaError,
-    StudyRecord,
-    analyze_study,
-    background_subtracted_magnitude,
-    load_study,
-    per_protocol_filter,
-    write_report_csv,
-    write_report_json,
-)
+from . import adjust, debias, fdr, nuisance, simulate, studyio
+from .adjust import *
+from .debias import *
+from .fdr import *
+from .nuisance import *
+from .simulate import *
+from .studyio import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DENOM_EPS",
-    "AssayCounts",
-    "MisclassRates",
-    "InvalidCountsError",
-    "DegenerateRatesError",
-    "debias_proportion",
-    "control_z",
-    "responder_z",
-    "p_value_at",
-    "unadjusted_p",
-    "ControlKind",
-    "SetConfig",
-    "NuisanceGrid",
-    "wilson_interval",
-    "clopper_pearson_interval",
-    "in_confidence_set",
-    "default_fp_max",
-    "build_grid",
-    "ResponderResult",
-    "max_adjusted_p",
-    "min_adjusted_p",
-    "analyze_participant",
-    "FdrDecision",
-    "bh_adjust",
-    "SCENARIOS",
-    "CONTROL_PROPORTION",
-    "SimulationConfig",
-    "InstanceTruth",
-    "Replication",
-    "SimulationSummary",
-    "draw_instance",
-    "true_oracle_p",
-    "run_replications",
-    "summarize",
-    "run_cell",
-    "SchemaError",
-    "StudyRecord",
-    "AnalysisConfig",
-    "ParticipantAnalysis",
-    "AnalysisReport",
-    "load_study",
-    "per_protocol_filter",
-    "background_subtracted_magnitude",
-    "analyze_study",
-    "write_report_json",
-    "write_report_csv",
+    *debias.__all__,
+    *nuisance.__all__,
+    *adjust.__all__,
+    *fdr.__all__,
+    *simulate.__all__,
+    *studyio.__all__,
 ]

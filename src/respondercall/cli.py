@@ -13,8 +13,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .nuisance import ControlKind, SetConfig, build_grid
-from .simulate import SimulationConfig, SimulationSummary, run_cell
+from .nuisance import _INTERVALS, ControlKind, SetConfig, build_grid
+from .simulate import SCENARIOS, SimulationConfig, SimulationSummary, run_cell
 from .studyio import (
     AnalysisConfig,
     _cell,
@@ -28,6 +28,8 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_EMPTY = 3
 
+_CONTROL_KINDS = [kind.value for kind in ControlKind]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -36,52 +38,62 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="analyze a study CSV")
+    # Each setting flag stores into the config field of its dest only when
+    # given; every default is the config dataclass's own.
+    analyze = sub.add_parser(
+        "analyze", help="analyze a study CSV", argument_default=argparse.SUPPRESS
+    )
     analyze.add_argument("--input", required=True, help="study CSV path")
     analyze.add_argument(
         "--out",
+        default=None,
         help="report path (.json writes the JSON report plus a .csv mirror, "
         ".csv writes only the CSV); default prints JSON to stdout",
     )
-    analyze.add_argument("--alpha", type=float, default=0.05)
-    analyze.add_argument("--alpha-prime", type=float, default=0.005)
-    analyze.add_argument("--fdr", type=float, default=0.05, help="BH level q")
-    analyze.add_argument("--min-total", type=int, default=10_000)
-    analyze.add_argument("--fp-max", type=float, default=None)
-    analyze.add_argument("--fn-max", type=float, default=0.5)
-    analyze.add_argument("--grid-fp", type=int, default=101)
-    analyze.add_argument("--grid-fn", type=int, default=21)
-    analyze.add_argument("--refine-levels", type=int, default=2)
-    analyze.add_argument("--delta0", type=float, default=0.0)
+    analyze.add_argument("--alpha", type=float)
+    analyze.add_argument("--alpha-prime", type=float)
+    analyze.add_argument("--fdr", dest="fdr_q", metavar="Q", type=float,
+                         help="BH level q")
+    analyze.add_argument("--min-total", type=int)
+    analyze.add_argument("--fp-max", type=float)
+    analyze.add_argument("--fn-max", type=float)
+    analyze.add_argument("--grid-fp", type=int)
+    analyze.add_argument("--grid-fn", type=int)
+    analyze.add_argument("--refine-levels", type=int)
+    analyze.add_argument("--delta0", type=float)
     analyze.add_argument(
         "--separate-fn",
-        action="store_true",
+        dest="assume_equal_fn",
+        action="store_false",
         help="vary fn0 and fn1 independently (constrained by --delta0) "
         "instead of sharing one axis",
     )
-    analyze.add_argument("--interval", choices=["wilson", "clopper-pearson"], default="wilson")
+    analyze.add_argument("--interval", choices=_INTERVALS)
     analyze.add_argument(
         "--control-kind",
-        choices=["generic", "negative"],
+        default=None,
+        choices=_CONTROL_KINDS,
         help="override the control kind for every record",
     )
 
-    simulate = sub.add_parser("simulate", help="simulate one cell")
-    simulate.add_argument("--scenario", required=True, choices=["I", "II", "III", "IV"])
+    simulate = sub.add_parser(
+        "simulate", help="simulate one cell", argument_default=argparse.SUPPRESS
+    )
+    simulate.add_argument("--scenario", required=True, choices=list(SCENARIOS))
     simulate.add_argument("--gamma", type=float, required=True)
     simulate.add_argument("--n-control", type=int, required=True)
     simulate.add_argument("--reps", type=int, required=True)
-    simulate.add_argument("--seed", type=int, default=20240101)
-    simulate.add_argument("--n-primary", type=int, default=50_000)
-    simulate.add_argument("--responder-prob", type=float, default=0.5)
-    simulate.add_argument("--alpha", type=float, default=0.05)
-    simulate.add_argument("--alpha-prime", type=float, default=0.005)
-    simulate.add_argument("--p-control", type=float, default=None)
-    simulate.add_argument("--fn-max", type=float, default=0.5)
-    simulate.add_argument("--grid-fp", type=int, default=51)
-    simulate.add_argument("--grid-fn", type=int, default=21)
-    simulate.add_argument("--refine-levels", type=int, default=1)
-    simulate.add_argument("--out", help="output CSV path; default stdout")
+    simulate.add_argument("--seed", type=int)
+    simulate.add_argument("--n-primary", type=int)
+    simulate.add_argument("--responder-prob", type=float)
+    simulate.add_argument("--alpha", type=float)
+    simulate.add_argument("--alpha-prime", type=float)
+    simulate.add_argument("--p-control", type=float)
+    simulate.add_argument("--fn-max", type=float)
+    simulate.add_argument("--grid-fp", type=int)
+    simulate.add_argument("--grid-fn", type=int)
+    simulate.add_argument("--refine-levels", type=int)
+    simulate.add_argument("--out", default=None, help="output CSV path; default stdout")
 
     surface = sub.add_parser("surface", help="export one participant's rate grid")
     surface.add_argument("--input", required=True, help="study CSV path")
@@ -92,9 +104,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated key=value settings: alpha, fp_max, fn_max, "
         "grid_fp, grid_fn, refine_levels, delta0, equal_fn, interval",
     )
-    surface.add_argument("--control-kind", choices=["generic", "negative"])
+    surface.add_argument("--control-kind", choices=_CONTROL_KINDS)
     surface.add_argument("--out", help="output CSV path; default stdout")
     return parser
+
+
+def _config_from(cls, args):
+    """cls built from the flags given; the other fields keep cls's defaults."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
 
 
 def _write_summary_csv(summary: SimulationSummary, stream) -> None:
@@ -105,33 +123,12 @@ def _write_summary_csv(summary: SimulationSummary, stream) -> None:
 
 
 def _run_analyze(args) -> int:
-    try:
-        records = load_study(args.input)
-    except (OSError, ValueError) as exc:  # ValueError: SchemaError, undecodable bytes
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    config = _config_from(AnalysisConfig, args)
+    records = load_study(args.input)
     if args.control_kind:
         kind = ControlKind(args.control_kind)
         records = [replace(record, control_kind=kind) for record in records]
-    try:
-        config = AnalysisConfig(
-            alpha=args.alpha,
-            alpha_prime=args.alpha_prime,
-            fdr_q=args.fdr,
-            min_total=args.min_total,
-            delta0=args.delta0,
-            fp_max=args.fp_max,
-            fn_max=args.fn_max,
-            grid_fp=args.grid_fp,
-            grid_fn=args.grid_fn,
-            refine_levels=args.refine_levels,
-            assume_equal_fn=not args.separate_fn,
-            interval=args.interval,
-        )
-        report = analyze_study(records, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    report = analyze_study(records, config)
     if not report.participants:
         print(
             f"error: none of the {report.n_input} record(s) meet the per-protocol "
@@ -146,14 +143,9 @@ def _run_analyze(args) -> int:
         if out.suffix == ".json":
             with open(out, "w", encoding="utf-8") as fh:
                 write_report_json(report, fh)
-            with open(out.with_suffix(".csv"), "w", encoding="utf-8") as fh:
-                write_report_csv(report, fh)
-        elif out.suffix == ".csv":
-            with open(out, "w", encoding="utf-8") as fh:
-                write_report_csv(report, fh)
-        else:
-            print("error: --out must end in .json or .csv", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            out = out.with_suffix(".csv")
+        with open(out, "w", encoding="utf-8") as fh:
+            write_report_csv(report, fh)
     counts = report.responder_counts()
     print(
         f"analyzed {len(report.participants)} of {report.n_input} record(s); "
@@ -165,27 +157,7 @@ def _run_analyze(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    try:
-        config = SimulationConfig(
-            scenario=args.scenario,
-            gamma=args.gamma,
-            n_control=args.n_control,
-            reps=args.reps,
-            seed=args.seed,
-            n_primary=args.n_primary,
-            responder_prob=args.responder_prob,
-            alpha=args.alpha,
-            alpha_prime=args.alpha_prime,
-            p_control=args.p_control,
-            fn_max=args.fn_max,
-            grid_fp=args.grid_fp,
-            grid_fn=args.grid_fn,
-            refine_levels=args.refine_levels,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    summary = run_cell(config)
+    summary = run_cell(_config_from(SimulationConfig, args))
     if args.out is None:
         _write_summary_csv(summary, sys.stdout)
     else:
@@ -228,23 +200,14 @@ def _parse_grid_spec(text: str) -> tuple[dict, bool]:
 
 
 def _run_surface(args) -> int:
-    try:
-        records = load_study(args.input)
-    except (OSError, ValueError) as exc:  # ValueError: SchemaError, undecodable bytes
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    kwargs, equal_fn = _parse_grid_spec(args.grid)
+    records = load_study(args.input)
     match = [r for r in records if r.participant_id == args.participant]
     if not match:
-        print(f"error: participant {args.participant!r} not found", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"participant {args.participant!r} not found")
     record = match[0]
     kind = ControlKind(args.control_kind) if args.control_kind else record.control_kind
-    try:
-        kwargs, equal_fn = _parse_grid_spec(args.grid)
-        config = SetConfig(alpha=kwargs.pop("alpha", 0.05), control_kind=kind, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    config = SetConfig(alpha=kwargs.pop("alpha", 0.05), control_kind=kind, **kwargs)
     grid = build_grid(record.counts, config, assume_equal_fn=equal_fn)
 
     def write(stream) -> None:
@@ -263,18 +226,34 @@ def _run_surface(args) -> int:
     return EXIT_OK
 
 
+def _check_out(args) -> None:
+    """Refuse an --out that is a directory or lies in a missing one, before any work."""
+    if args.out is None:
+        return
+    paths = [Path(args.out)]
+    if args.command == "analyze":
+        if paths[0].suffix not in (".json", ".csv"):
+            raise ValueError("--out must end in .json or .csv")
+        if paths[0].suffix == ".json":
+            paths.append(paths[0].with_suffix(".csv"))
+    for path in paths:
+        if not path.parent.is_dir():
+            raise ValueError(f"--out directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ValueError(f"--out path {path} is a directory")
+
+
+_COMMANDS = {"analyze": _run_analyze, "simulate": _run_simulate, "surface": _run_surface}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # A missing --out directory is refused before any work, not after it.
-    if args.out is not None and not Path(args.out).parent.is_dir():
-        print(f"error: --out directory {Path(args.out).parent} does not exist",
-              file=sys.stderr)
+    try:
+        _check_out(args)
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:  # bad settings, input or --out
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.command == "analyze":
-        return _run_analyze(args)
-    if args.command == "simulate":
-        return _run_simulate(args)
-    return _run_surface(args)
 
 
 if __name__ == "__main__":

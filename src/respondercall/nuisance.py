@@ -27,7 +27,7 @@ only by the grid limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator
 
@@ -101,6 +101,27 @@ class SetConfig:
             raise ValueError("refine_levels must be non-negative")
         if self.interval not in _INTERVALS:
             raise ValueError(f"interval must be one of {_INTERVALS}")
+
+
+def set_config_pair(
+    settings, control_kind: ControlKind = ControlKind.GENERIC
+) -> tuple[SetConfig, SetConfig]:
+    """(maximal-adjustment, minimal-adjustment) set configurations.
+
+    settings is an AnalysisConfig or a SimulationConfig.  The two sets
+    are at its alpha_prime and alpha levels and share its other fields
+    named after SetConfig fields; a field it lacks keeps the SetConfig
+    default.  Building the pair validates every level and grid setting.
+    """
+    shared = {
+        f.name: getattr(settings, f.name)
+        for f in fields(SetConfig)
+        if f.name != "alpha" and hasattr(settings, f.name)
+    }
+    return (
+        SetConfig(alpha=settings.alpha_prime, control_kind=control_kind, **shared),
+        SetConfig(alpha=settings.alpha, control_kind=control_kind, **shared),
+    )
 
 
 def wilson_interval(x: int, n: int, confidence: float) -> tuple[float, float]:

@@ -26,15 +26,14 @@ any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import worker_count
+from ._threads import ordered_map
 from .adjust import analyze_participant
 from .debias import AssayCounts, MisclassRates, p_value_at
-from .nuisance import SetConfig
+from .nuisance import SetConfig, set_config_pair
 
 __all__ = [
     "SCENARIOS",
@@ -88,9 +87,9 @@ class SimulationConfig:
     alpha: float = 0.05
     alpha_prime: float = 0.005
     p_control: float | None = None
-    fn_max: float = 0.5
+    fn_max: float = SetConfig.fn_max
     grid_fp: int = 51
-    grid_fn: int = 21
+    grid_fn: int = SetConfig.grid_fn
     refine_levels: int = 1
 
     def __post_init__(self) -> None:
@@ -108,8 +107,6 @@ class SimulationConfig:
             raise ValueError(
                 f"responder_prob must lie in [0, 1], got {self.responder_prob}"
             )
-        if not 0.0 < self.alpha < 1.0 or not 0.0 < self.alpha_prime < 1.0:
-            raise ValueError("alpha and alpha_prime must lie in (0, 1)")
         if self.p_control is None and self.n_control not in CONTROL_PROPORTION:
             raise ValueError(
                 f"no control proportion on file for n_control={self.n_control}; "
@@ -117,6 +114,7 @@ class SimulationConfig:
             )
         if self.p_control is not None and not 0.0 < self.p_control < 1.0:
             raise ValueError(f"p_control must lie in (0, 1), got {self.p_control}")
+        set_config_pair(self)
 
     @property
     def control_proportion(self) -> float:
@@ -220,20 +218,6 @@ def true_oracle_p(counts: AssayCounts, truth: InstanceTruth) -> float:
     return p_value_at(counts, truth.theta)
 
 
-def _set_configs(config: SimulationConfig) -> tuple[SetConfig, SetConfig]:
-    common = dict(
-        fp_max=None,
-        fn_max=config.fn_max,
-        grid_fp=config.grid_fp,
-        grid_fn=config.grid_fn,
-        refine_levels=config.refine_levels,
-    )
-    return (
-        SetConfig(alpha=config.alpha_prime, **common),
-        SetConfig(alpha=config.alpha, **common),
-    )
-
-
 def _replicate(
     config: SimulationConfig,
     config_max: SetConfig,
@@ -255,14 +239,10 @@ def _replicate(
 def run_replications(config: SimulationConfig) -> list[Replication]:
     """Run all replications of one cell, in replication order."""
     children = np.random.SeedSequence(config.seed).spawn(config.reps)
-    config_max, config_min = _set_configs(config)
-    workers = worker_count(config.reps)
-    if workers == 1:
-        return [_replicate(config, config_max, config_min, child) for child in children]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda child: _replicate(config, config_max, config_min, child), children)
-        )
+    config_max, config_min = set_config_pair(config)
+    return ordered_map(
+        lambda child: _replicate(config, config_max, config_min, child), children
+    )
 
 
 def summarize(replications: list[Replication], config: SimulationConfig) -> SimulationSummary:

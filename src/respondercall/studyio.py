@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable
 
-from ._threads import worker_count
+from ._threads import ordered_map
 from .adjust import ResponderResult, analyze_participant
 from .debias import AssayCounts, InvalidCountsError
 from .fdr import FdrDecision, bh_adjust
-from .nuisance import ControlKind, SetConfig
+from .nuisance import ControlKind, SetConfig, set_config_pair
 
 __all__ = [
     "SchemaError",
@@ -160,37 +159,28 @@ def background_subtracted_magnitude(counts: AssayCounts) -> float:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Study-level settings: decision levels, filter and grid shape."""
+    """Study-level settings: decision levels, filter and grid shape.
+
+    The grid settings default to those of SetConfig.
+    """
 
     alpha: float = 0.05
     alpha_prime: float = 0.005
     fdr_q: float = 0.05
     min_total: int = 10_000
-    delta0: float = 0.0
-    fp_max: float | None = None
-    fn_max: float = 0.5
-    grid_fp: int = 101
-    grid_fn: int = 21
-    refine_levels: int = 2
+    delta0: float = SetConfig.delta0
+    fp_max: float | None = SetConfig.fp_max
+    fn_max: float = SetConfig.fn_max
+    grid_fp: int = SetConfig.grid_fp
+    grid_fn: int = SetConfig.grid_fn
+    refine_levels: int = SetConfig.refine_levels
     assume_equal_fn: bool = True
-    interval: str = "wilson"
+    interval: str = SetConfig.interval
 
-    def set_configs(self, kind: ControlKind) -> tuple[SetConfig, SetConfig]:
-        """(maximal-adjustment, minimal-adjustment) set configurations."""
-        common = dict(
-            control_kind=kind,
-            delta0=self.delta0,
-            fp_max=self.fp_max,
-            fn_max=self.fn_max,
-            grid_fp=self.grid_fp,
-            grid_fn=self.grid_fn,
-            refine_levels=self.refine_levels,
-            interval=self.interval,
-        )
-        return (
-            SetConfig(alpha=self.alpha_prime, **common),
-            SetConfig(alpha=self.alpha, **common),
-        )
+    def __post_init__(self) -> None:
+        if not 0.0 < self.fdr_q < 1.0:
+            raise ValueError(f"fdr_q must lie in (0, 1), got {self.fdr_q}")
+        set_config_pair(self)
 
 
 @dataclass(frozen=True)
@@ -240,21 +230,15 @@ def analyze_study(
     kept, excluded = per_protocol_filter(records, config.min_total)
 
     def analyze_one(record: StudyRecord) -> tuple[float, ResponderResult]:
-        config_max, config_min = config.set_configs(record.control_kind)
+        config_max, config_min = set_config_pair(config, record.control_kind)
         result = analyze_participant(
             record.counts, config_max, config_min, assume_equal_fn=config.assume_equal_fn
         )
         return background_subtracted_magnitude(record.counts), result
 
-    workers = worker_count(len(kept)) if kept else 1
-    if workers == 1:
-        analyzed = [analyze_one(record) for record in kept]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            analyzed = list(pool.map(analyze_one, kept))
-
     if not kept:
         return AnalysisReport(config=config, n_input=len(records), excluded=excluded)
+    analyzed = ordered_map(analyze_one, kept)
 
     bh_unadj = bh_adjust([result.p_unadjusted for _, result in analyzed], config.fdr_q)
     bh_max = bh_adjust([result.p_max_adjusted for _, result in analyzed], config.fdr_q)

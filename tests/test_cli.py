@@ -98,6 +98,13 @@ def test_analyze_reports_empty_after_filter(golden_study_file):
     )
     assert proc.returncode == 3
     assert "per-protocol" in proc.stderr
+    # A bad setting is refused before the filter empties the study.
+    proc = run_cli(
+        "analyze", "--input", str(golden_study_file), "--min-total", "1000000",
+        "--grid-fn", "1",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "grid_fn" in proc.stderr
 
 
 def test_analyze_rejects_unknown_out_suffix(golden_study_file, tmp_path):
@@ -119,6 +126,8 @@ def test_missing_input_and_out_directory_exit_2(golden_study_file, tmp_path):
             assert proc.returncode == 2, (args[0], path, proc.stderr)
             assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     out = str(tmp_path / "no_such_dir" / "out.csv")
+    taken = tmp_path / "taken.csv"
+    taken.mkdir()
     for args in (
         ["analyze", "--input", str(golden_study_file), *FAST_FLAGS],
         ["surface", "--input", str(golden_study_file), "--participant", "P1"],
@@ -129,6 +138,20 @@ def test_missing_input_and_out_directory_exit_2(golden_study_file, tmp_path):
         assert proc.returncode == 2, (args[0], proc.stderr)
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
         assert "no_such_dir" in proc.stderr
+        # An --out that is a directory is refused too, before any work.
+        proc = run_cli(*args, "--out", str(taken))
+        assert proc.returncode == 2, (args[0], proc.stderr)
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert "is a directory" in proc.stderr
+    # So is a directory where analyze would write the CSV mirror of x.json.
+    (tmp_path / "x.csv").mkdir()
+    proc = run_cli(
+        "analyze", "--input", str(golden_study_file), *FAST_FLAGS,
+        "--out", str(tmp_path / "x.json"),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "x.csv" in proc.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_simulate_writes_one_summary_row(tmp_path):
@@ -160,6 +183,17 @@ def test_simulate_rejects_bad_settings():
         "--reps", "2",
     )
     assert proc.returncode == 2
+    cell = ["simulate", "--scenario", "I", "--gamma", "2", "--n-control", "1000",
+            "--reps", "2"]
+    for flags, env, word in (
+        (["--grid-fp", "1"], None, "grid_fp"),
+        (["--refine-levels", "-1"], None, "refine_levels"),
+        ([], {"RESPONDER_THREADS": "abc"}, "RESPONDER_THREADS"),
+    ):
+        proc = run_cli(*cell, *flags, env_extra=env)
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert word in proc.stderr
 
 
 def test_surface_exports_the_full_grid(golden_study_file, tmp_path):

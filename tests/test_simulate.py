@@ -8,6 +8,7 @@ import pytest
 
 from respondercall import (
     CONTROL_PROPORTION,
+    AnalysisConfig,
     Replication,
     SimulationConfig,
     draw_instance,
@@ -43,6 +44,17 @@ def test_config_validation():
         _config(n_control=7777)  # not in the lookup, needs p_control
     with pytest.raises(ValueError):
         _config(p_control=0.0)
+    # Level and grid settings are checked when the config is built.
+    for bad in (dict(grid_fp=1), dict(grid_fn=1), dict(refine_levels=-1),
+                dict(fn_max=1.5), dict(alpha_prime=1.0)):
+        with pytest.raises(ValueError):
+            _config(**bad)
+        with pytest.raises(ValueError):
+            AnalysisConfig(**bad)
+    for bad in (dict(delta0=-0.1), dict(fp_max=2.0), dict(interval="exact"),
+                dict(fdr_q=0.0)):
+        with pytest.raises(ValueError):
+            AnalysisConfig(**bad)
 
 
 def test_control_proportion_lookup_and_override():

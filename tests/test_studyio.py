@@ -21,6 +21,7 @@ from respondercall import (
     write_report_csv,
     write_report_json,
 )
+from respondercall.nuisance import set_config_pair
 from respondercall.studyio import _CSV_COLUMNS
 
 
@@ -210,7 +211,7 @@ def test_analyze_study_empty_after_filter():
 
 def test_set_configs_levels():
     config = AnalysisConfig(alpha=0.1, alpha_prime=0.02, interval="clopper-pearson")
-    config_max, config_min = config.set_configs(ControlKind.NEGATIVE)
+    config_max, config_min = set_config_pair(config, ControlKind.NEGATIVE)
     assert config_max.alpha == 0.02
     assert config_min.alpha == 0.1
     for sub in (config_max, config_min):
