@@ -22,14 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .debias import AssayCounts, unadjusted_p
-from .nuisance import NuisanceGrid, SetConfig, build_grid
+from .nuisance import SetConfig, build_grid
 
-__all__ = [
-    "ResponderResult",
-    "max_adjusted_p",
-    "min_adjusted_p",
-    "analyze_participant",
-]
+__all__ = ["ResponderResult", "analyze_participant"]
 
 
 @dataclass(frozen=True)
@@ -52,38 +47,6 @@ class ResponderResult:
     unadjusted_in_set: bool
 
 
-def _max_adjusted_from_grid(grid: NuisanceGrid, alpha_prime: float) -> float:
-    if not grid.nonempty:
-        return 1.0
-    return min(1.0, grid.sup_p + alpha_prime)
-
-
-def _min_adjusted_from_grid(grid: NuisanceGrid, p_star: float) -> float | None:
-    if not grid.nonempty:
-        return None
-    return min(max(p_star, grid.inf_p), grid.sup_p)
-
-
-def max_adjusted_p(
-    counts: AssayCounts, config: SetConfig, assume_equal_fn: bool = True
-) -> float:
-    """Worst-case adjusted p-value at level config.alpha.
-
-    config.alpha plays the role of alpha_prime: it is both the level of
-    the confidence set and the additive budget.
-    """
-    grid = build_grid(counts, config, assume_equal_fn=assume_equal_fn)
-    return _max_adjusted_from_grid(grid, config.alpha)
-
-
-def min_adjusted_p(
-    counts: AssayCounts, config: SetConfig, assume_equal_fn: bool = True
-) -> float | None:
-    """Best-case adjusted p-value, or None when the set is empty."""
-    grid = build_grid(counts, config, assume_equal_fn=assume_equal_fn)
-    return _min_adjusted_from_grid(grid, unadjusted_p(counts))
-
-
 def analyze_participant(
     counts: AssayCounts,
     config_max: SetConfig,
@@ -94,15 +57,20 @@ def analyze_participant(
 
     config_max.alpha is the alpha_prime of the maximal adjustment and
     config_min.alpha the level of the minimal adjustment's set; the two
-    configurations usually differ only in alpha.
+    configurations usually differ only in alpha.  For both adjustments
+    at a single level, pass the same configuration twice.
     """
     p_star = unadjusted_p(counts)
     grid_max = build_grid(counts, config_max, assume_equal_fn=assume_equal_fn)
     grid_min = build_grid(counts, config_min, assume_equal_fn=assume_equal_fn)
-    p_min = _min_adjusted_from_grid(grid_min, p_star)
+    p_min = (
+        min(max(p_star, grid_min.inf_p), grid_min.sup_p) if grid_min.nonempty else None
+    )
     return ResponderResult(
         p_unadjusted=p_star,
-        p_max_adjusted=_max_adjusted_from_grid(grid_max, config_max.alpha),
+        p_max_adjusted=(
+            min(1.0, grid_max.sup_p + config_max.alpha) if grid_max.nonempty else 1.0
+        ),
         p_min_adjusted=p_min,
         alpha=config_min.alpha,
         alpha_prime=config_max.alpha,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -112,7 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from(cls, args):
     """cls built from the flags given; the other fields keep cls's defaults."""
     given = vars(args)
-    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+    try:
+        return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+    except ValueError as exc:  # name each refused field by its flag
+        flags = {f.name: "--" + f.name.replace("_", "-") for f in fields(cls)}
+        flags["fdr_q"] = "--fdr"  # not --fdr-q
+        raise ValueError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))) from None
 
 
 def _write_summary_csv(summary: SimulationSummary, stream) -> None:
@@ -195,7 +201,11 @@ def _parse_grid_spec(text: str) -> tuple[dict, bool]:
                 raise ValueError(f"equal_fn must be 0/1/true/false, got {value!r}")
             equal_fn = value.lower() in ("1", "true")
         else:
-            kwargs[key] = _GRID_KEY_TYPES[key](value)
+            convert = _GRID_KEY_TYPES[key]
+            try:
+                kwargs[key] = convert(value)
+            except ValueError:
+                raise ValueError(f"{key} must be {convert.__name__}, got {value!r}") from None
     return kwargs, equal_fn
 
 

@@ -168,12 +168,6 @@ def _pooled_z_arrays(x0, N0, x1, N1, fp0, fn0, fp1, fn1):
     return np.where(usable, z, np.nan)
 
 
-def _pooled_z(x0: int, N0: int, x1: int, N1: int, theta: MisclassRates) -> float:
-    return float(
-        _pooled_z_arrays(x0, N0, x1, N1, theta.fp0, theta.fn0, theta.fp1, theta.fn1)
-    )
-
-
 def control_z(counts: AssayCounts, theta: MisclassRates) -> float:
     """Pooled z for the corrected control proportions at T1 versus T0.
 
@@ -181,12 +175,14 @@ def control_z(counts: AssayCounts, theta: MisclassRates) -> float:
     the two timepoints estimate the same quantity, so this statistic
     measures how strongly the paired controls contradict theta.
     """
-    return _pooled_z(counts.c0, counts.C0, counts.c1, counts.C1, theta)
+    return float(_pooled_z_arrays(counts.c0, counts.C0, counts.c1, counts.C1,
+                                  theta.fp0, theta.fn0, theta.fp1, theta.fn1))
 
 
 def responder_z(counts: AssayCounts, theta: MisclassRates) -> float:
     """Pooled z for the corrected primary proportions at T1 versus T0."""
-    return _pooled_z(counts.n0, counts.N0, counts.n1, counts.N1, theta)
+    return float(_pooled_z_arrays(counts.n0, counts.N0, counts.n1, counts.N1,
+                                  theta.fp0, theta.fn0, theta.fp1, theta.fn1))
 
 
 def p_value_arrays(x0, N0, x1, N1, fp0, fn0, fp1, fn1):
@@ -205,8 +201,8 @@ def p_value_at(counts: AssayCounts, theta: MisclassRates) -> float:
     Computed as the upper-tail normal probability of responder_z and
     clamped to [0, 1]; an infinite statistic maps to 0 or 1.
     """
-    z = responder_z(counts, theta)
-    return float(np.clip(ndtr(-z), 0.0, 1.0))
+    return float(p_value_arrays(counts.n0, counts.N0, counts.n1, counts.N1,
+                                theta.fp0, theta.fn0, theta.fp1, theta.fn1))
 
 
 def unadjusted_p(counts: AssayCounts) -> float:

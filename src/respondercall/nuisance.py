@@ -32,8 +32,7 @@ from enum import Enum
 from typing import Iterator
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, ndtri
 
 from .debias import (
     DENOM_EPS,
@@ -111,8 +110,13 @@ def set_config_pair(
     settings is an AnalysisConfig or a SimulationConfig.  The two sets
     are at its alpha_prime and alpha levels and share its other fields
     named after SetConfig fields; a field it lacks keeps the SetConfig
-    default.  Building the pair validates every level and grid setting.
+    default.  Building the pair validates every level and grid setting;
+    a bad level is named after the settings field that holds it.
     """
+    for name in ("alpha_prime", "alpha"):
+        level = getattr(settings, name)
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {level}")
     shared = {
         f.name: getattr(settings, f.name)
         for f in fields(SetConfig)
@@ -150,8 +154,9 @@ def clopper_pearson_interval(x: int, n: int, confidence: float) -> tuple[float, 
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     a = (1.0 - confidence) / 2.0
-    lo = 0.0 if x == 0 else float(beta_dist.ppf(a, x, n - x + 1))
-    hi = 1.0 if x == n else float(beta_dist.ppf(1.0 - a, x + 1, n - x))
+    # Beta quantiles: betaincinv(a, b, q) is the q-quantile of Beta(a, b).
+    lo = 0.0 if x == 0 else float(betaincinv(x, n - x + 1, a))
+    hi = 1.0 if x == n else float(betaincinv(x + 1, n - x, 1.0 - a))
     return (lo, hi)
 
 
@@ -219,13 +224,9 @@ class NuisanceGrid:
     refinement points coincide, so n_points counts evaluated points;
     to_rows gives the distinct points sorted.  p_theta is NaN at points
     whose correction denominator is unusable; such points are never in
-    the set.  sup_p and inf_p are None exactly when the set is empty
-    (nonempty False).
+    the set.  sup_p and inf_p are None exactly when the set is empty.
     """
 
-    config: SetConfig
-    fp_max: float
-    fn_max: float
     fp0: np.ndarray
     fn0: np.ndarray
     fp1: np.ndarray
@@ -234,7 +235,10 @@ class NuisanceGrid:
     p_theta: np.ndarray
     sup_p: float | None
     inf_p: float | None
-    nonempty: bool
+
+    @property
+    def nonempty(self) -> bool:
+        return self.sup_p is not None
 
     @property
     def n_points(self) -> int:
@@ -270,6 +274,20 @@ def _local_values(center: float, step: float, limit: float) -> np.ndarray:
     return np.clip(center + offsets, 0.0, limit)
 
 
+def _mesh(fp0_vals, fn0_vals, fp1_vals, fn1_vals, equal_fn: bool):
+    """Flat fp0, fn0, fp1, fn1 columns of the product of the axis values.
+
+    With equal_fn the fn axes are one shared axis, fn0_vals (fn1_vals is
+    not used), enumerated in (fp0, fp1, fn) order; otherwise the four
+    axes are enumerated in (fp0, fn0, fp1, fn1) order.
+    """
+    if equal_fn:
+        g0, g1, gn = np.meshgrid(fp0_vals, fp1_vals, fn0_vals, indexing="ij")
+        return g0.ravel(), gn.ravel(), g1.ravel(), gn.ravel()
+    grids = np.meshgrid(fp0_vals, fn0_vals, fp1_vals, fn1_vals, indexing="ij")
+    return tuple(g.ravel() for g in grids)
+
+
 def build_grid(
     counts: AssayCounts, config: SetConfig, assume_equal_fn: bool = True
 ) -> NuisanceGrid:
@@ -296,13 +314,7 @@ def build_grid(
         p = _p_value_arrays(counts.n0, counts.N0, counts.n1, counts.N1, fp0, fn0, fp1, fn1)
         return member, p
 
-    if assume_equal_fn:
-        g0, g1, gn = np.meshgrid(fp_axis, fp_axis, fn_axis, indexing="ij")
-        fp0, fp1, fn_shared = g0.ravel(), g1.ravel(), gn.ravel()
-        fn0, fn1 = fn_shared, fn_shared.copy()
-    else:
-        g0, gn0, g1, gn1 = np.meshgrid(fp_axis, fn_axis, fp_axis, fn_axis, indexing="ij")
-        fp0, fn0, fp1, fn1 = g0.ravel(), gn0.ravel(), g1.ravel(), gn1.ravel()
+    fp0, fn0, fp1, fn1 = _mesh(fp_axis, fn_axis, fp_axis, fn_axis, assume_equal_fn)
     in_set, p_theta = evaluate(fp0, fn0, fp1, fn1)
 
     for level in range(1, config.refine_levels + 1):
@@ -312,19 +324,16 @@ def build_grid(
         h_fn = step_fn / 2.0**level
         masked = np.where(in_set, p_theta, np.nan)
         targets = {int(np.nanargmax(masked)), int(np.nanargmin(masked))}
-        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for i in sorted(targets):
-            a0 = _local_values(float(fp0[i]), h_fp, fp_max)
-            a1 = _local_values(float(fp1[i]), h_fp, fp_max)
-            if assume_equal_fn:
-                an = _local_values(float(fn0[i]), h_fn, fn_max)
-                b0, b1, bn = np.meshgrid(a0, a1, an, indexing="ij")
-                blocks.append((b0.ravel(), bn.ravel(), b1.ravel(), bn.ravel()))
-            else:
-                an0 = _local_values(float(fn0[i]), h_fn, fn_max)
-                an1 = _local_values(float(fn1[i]), h_fn, fn_max)
-                b0, bn0, b1, bn1 = np.meshgrid(a0, an0, a1, an1, indexing="ij")
-                blocks.append((b0.ravel(), bn0.ravel(), b1.ravel(), bn1.ravel()))
+        blocks = [
+            _mesh(
+                _local_values(float(fp0[i]), h_fp, fp_max),
+                _local_values(float(fn0[i]), h_fn, fn_max),
+                _local_values(float(fp1[i]), h_fp, fp_max),
+                _local_values(float(fn1[i]), h_fn, fn_max),
+                assume_equal_fn,
+            )
+            for i in sorted(targets)
+        ]
         new = [np.concatenate(axis) for axis in zip(*blocks)]
         new_in, new_p = evaluate(*new)
         fp0, fn0, fp1, fn1, in_set, p_theta = (
@@ -332,25 +341,14 @@ def build_grid(
             for pair in zip((fp0, fn0, fp1, fn1, in_set, p_theta), (*new, new_in, new_p))
         )
 
-    if in_set.any():
-        selected = p_theta[in_set]
-        sup_p: float | None = float(selected.max())
-        inf_p: float | None = float(selected.min())
-        nonempty = True
-    else:
-        sup_p = inf_p = None
-        nonempty = False
+    selected = p_theta[in_set]
     return NuisanceGrid(
-        config=config,
-        fp_max=float(fp_max),
-        fn_max=float(fn_max),
         fp0=fp0,
         fn0=fn0,
         fp1=fp1,
         fn1=fn1,
         in_set=in_set,
         p_theta=p_theta,
-        sup_p=sup_p,
-        inf_p=inf_p,
-        nonempty=nonempty,
+        sup_p=float(selected.max()) if selected.size else None,
+        inf_p=float(selected.min()) if selected.size else None,
     )

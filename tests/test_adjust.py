@@ -8,8 +8,6 @@ from respondercall import (
     SetConfig,
     analyze_participant,
     build_grid,
-    max_adjusted_p,
-    min_adjusted_p,
     unadjusted_p,
 )
 
@@ -54,8 +52,9 @@ def test_adjustments_follow_the_documented_rules():
         grid = build_grid(counts, config)
         p_star = unadjusted_p(counts)
         expected_max, expected_min = _expected_from_grid(grid, p_star, config.alpha)
-        assert max_adjusted_p(counts, config) == expected_max
-        assert min_adjusted_p(counts, config) == expected_min
+        result = analyze_participant(counts, config, config)
+        assert result.p_max_adjusted == expected_max
+        assert result.p_min_adjusted == expected_min
         if expected_min is not None:
             if expected_min == p_star:
                 saw_bracketed += 1
@@ -73,7 +72,7 @@ def test_max_adjustment_floors_at_alpha_prime():
     )
     for _ in range(20):
         counts = _random_instance(rng)
-        assert max_adjusted_p(counts, config) >= config.alpha
+        assert analyze_participant(counts, config, config).p_max_adjusted >= config.alpha
 
 
 def test_min_never_exceeds_max_under_a_shared_config():
@@ -83,9 +82,9 @@ def test_min_never_exceeds_max_under_a_shared_config():
     )
     for _ in range(20):
         counts = _random_instance(rng)
-        p_min = min_adjusted_p(counts, config)
-        if p_min is not None:
-            assert p_min <= max_adjusted_p(counts, config)
+        result = analyze_participant(counts, config, config)
+        if result.p_min_adjusted is not None:
+            assert result.p_min_adjusted <= result.p_max_adjusted
 
 
 def test_empty_set_conventions():
@@ -93,8 +92,6 @@ def test_empty_set_conventions():
     config = SetConfig(
         alpha=0.05, fp_max=1e-4, fn_max=0.0, grid_fp=11, grid_fn=2, refine_levels=1
     )
-    assert max_adjusted_p(counts, config) == 1.0
-    assert min_adjusted_p(counts, config) is None
     result = analyze_participant(counts, config, config)
     assert result.set_nonempty is False
     assert result.p_range is None
@@ -122,8 +119,10 @@ def test_analyze_participant_matches_standalone_calls(participant_one):
     )
     result = analyze_participant(participant_one, config_max, config_min)
     assert result.p_unadjusted == unadjusted_p(participant_one)
-    assert result.p_max_adjusted == max_adjusted_p(participant_one, config_max)
-    assert result.p_min_adjusted == min_adjusted_p(participant_one, config_min)
+    single_max = analyze_participant(participant_one, config_max, config_max)
+    single_min = analyze_participant(participant_one, config_min, config_min)
+    assert result.p_max_adjusted == single_max.p_max_adjusted
+    assert result.p_min_adjusted == single_min.p_min_adjusted
     assert result.alpha == 0.05
     assert result.alpha_prime == 0.005
     grid_max = build_grid(participant_one, config_max)
@@ -145,7 +144,7 @@ def test_min_adjustment_clamps_through_a_rounding_tie():
     assert abs(grid.inf_p - p_star) == abs(grid.sup_p - p_star)
     result = analyze_participant(counts, SetConfig(alpha=0.005), config)
     assert result.p_min_adjusted == grid.sup_p
-    assert min_adjusted_p(counts, config) == grid.sup_p
+    assert analyze_participant(counts, config, config).p_min_adjusted == grid.sup_p
 
 
 def test_worked_example_bundle(

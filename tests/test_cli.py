@@ -98,13 +98,21 @@ def test_analyze_reports_empty_after_filter(golden_study_file):
     )
     assert proc.returncode == 3
     assert "per-protocol" in proc.stderr
-    # A bad setting is refused before the filter empties the study.
-    proc = run_cli(
-        "analyze", "--input", str(golden_study_file), "--min-total", "1000000",
-        "--grid-fn", "1",
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "grid_fn" in proc.stderr
+    # A bad setting is refused before the filter empties the study, and the
+    # error names the flag that was typed.
+    for flags, message in (
+        (["--grid-fn", "1"], "--grid-fn"),
+        (["--fdr", "0"], "error: --fdr must lie in (0, 1)"),
+        (["--alpha-prime", "1.5"], "error: --alpha-prime must lie in (0, 1)"),
+        (["--alpha", "1.5"], "error: --alpha must lie in (0, 1)"),
+    ):
+        proc = run_cli(
+            "analyze", "--input", str(golden_study_file), "--min-total", "1000000",
+            *flags,
+        )
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert message in proc.stderr, (flags, proc.stderr)
 
 
 def test_analyze_rejects_unknown_out_suffix(golden_study_file, tmp_path):
@@ -186,9 +194,11 @@ def test_simulate_rejects_bad_settings():
     cell = ["simulate", "--scenario", "I", "--gamma", "2", "--n-control", "1000",
             "--reps", "2"]
     for flags, env, word in (
-        (["--grid-fp", "1"], None, "grid_fp"),
-        (["--refine-levels", "-1"], None, "refine_levels"),
+        (["--grid-fp", "1"], None, "--grid-fp"),
+        (["--refine-levels", "-1"], None, "--refine-levels"),
         ([], {"RESPONDER_THREADS": "abc"}, "RESPONDER_THREADS"),
+        (["--alpha-prime", "1.5"], None, "error: --alpha-prime must lie in (0, 1)"),
+        (["--n-control", "7"], None, "--n-control=7"),
     ):
         proc = run_cli(*cell, *flags, env_extra=env)
         assert proc.returncode == 2, (flags, proc.stderr)
@@ -236,6 +246,16 @@ def test_surface_rejects_bad_grid_spec(golden_study_file):
     )
     assert proc.returncode == 2
     assert "bad grid setting" in proc.stderr
+    # A value that does not convert is reported under its key.
+    for spec, message in (("grid_fp=abc", "error: grid_fp must be int, got 'abc'"),
+                          ("alpha=x", "error: alpha must be float, got 'x'")):
+        proc = run_cli(
+            "surface", "--input", str(golden_study_file), "--participant", "P1",
+            "--grid", spec,
+        )
+        assert proc.returncode == 2, (spec, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(message), (spec, proc.stderr)
 
 
 def test_surface_unknown_participant(golden_study_file):

@@ -64,6 +64,22 @@ def test_clopper_pearson_closed_forms():
     assert low == pytest.approx(a ** (1.0 / 30.0), rel=1e-12)
 
 
+def test_clopper_pearson_matches_scipy_stats_beta():
+    # The bounds come from scipy.special.betaincinv; they must be the very
+    # floats scipy.stats.beta.ppf gives, boundary counts included.
+    from scipy.stats import beta
+
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(2, 200_001))
+        confidence = float(rng.uniform(0.5, 0.9999))
+        a = (1.0 - confidence) / 2.0
+        for x in (0, 1, n - 1, n, int(rng.integers(0, n + 1))):
+            low, high = clopper_pearson_interval(x, n, confidence)
+            assert low == (0.0 if x == 0 else float(beta.ppf(a, x, n - x + 1)))
+            assert high == (1.0 if x == n else float(beta.ppf(1.0 - a, x + 1, n - x)))
+
+
 def test_clopper_pearson_contains_point_estimate():
     rng = np.random.default_rng(4)
     for _ in range(100):

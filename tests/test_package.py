@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names and imports."""
+
+import subprocess
+import sys
 
 import respondercall
 
@@ -12,9 +15,9 @@ PUBLIC_API = [
     "background_subtracted_magnitude", "bh_adjust", "build_grid",
     "clopper_pearson_interval", "control_z", "debias_proportion",
     "default_fp_max", "draw_instance", "in_confidence_set", "load_study",
-    "max_adjusted_p", "min_adjusted_p", "p_value_at", "per_protocol_filter",
-    "responder_z", "run_cell", "run_replications", "summarize", "true_oracle_p",
-    "unadjusted_p", "wilson_interval", "write_report_csv", "write_report_json",
+    "p_value_at", "per_protocol_filter", "responder_z", "run_cell",
+    "run_replications", "summarize", "true_oracle_p", "unadjusted_p",
+    "wilson_interval", "write_report_csv", "write_report_json",
 ]
 
 
@@ -28,3 +31,20 @@ def test_public_api_is_pinned():
     for name in ("control_z", "debias_proportion", "wilson_interval",
                  "clopper_pearson_interval"):
         assert name in names
+
+
+def test_scipy_stats_is_never_imported(golden_study_file):
+    # Only scipy.special is needed; scipy.stats alone takes most of a second
+    # to import.  A fresh interpreter runs a Clopper-Pearson analysis.
+    argv = ["analyze", "--input", str(golden_study_file), "--control-kind", "negative",
+            "--interval", "clopper-pearson", "--grid-fp", "11", "--grid-fn", "3",
+            "--refine-levels", "0"]
+    code = (
+        "import sys\n"
+        "from respondercall import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
