@@ -94,8 +94,10 @@ class SetConfig:
             raise ValueError(f"fp_max must lie in [0, 1], got {self.fp_max}")
         if not 0.0 <= self.fn_max <= 1.0:
             raise ValueError(f"fn_max must lie in [0, 1], got {self.fn_max}")
-        if self.grid_fp < 2 or self.grid_fn < 2:
-            raise ValueError("grid_fp and grid_fn must be at least 2")
+        if self.grid_fp < 2:
+            raise ValueError(f"grid_fp must be at least 2, got {self.grid_fp}")
+        if self.grid_fn < 2:
+            raise ValueError(f"grid_fn must be at least 2, got {self.grid_fn}")
         if self.refine_levels < 0:
             raise ValueError("refine_levels must be non-negative")
         if self.interval not in _INTERVALS:

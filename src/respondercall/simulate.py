@@ -43,7 +43,6 @@ __all__ = [
     "Replication",
     "SimulationSummary",
     "draw_instance",
-    "true_oracle_p",
     "run_replications",
     "summarize",
     "run_cell",
@@ -97,8 +96,10 @@ class SimulationConfig:
             raise ValueError(
                 f"scenario must be one of {sorted(SCENARIOS)}, got {self.scenario!r}"
             )
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:  # NaN fails this test too
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.reps < 1:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
         if self.n_primary < 1 or self.n_control < 1:
@@ -136,7 +137,7 @@ class InstanceTruth:
 
 @dataclass(frozen=True)
 class Replication:
-    """All four p-values from one replication (min may be undefined)."""
+    """All four p-values of one replication; oracle is the test at the true rates."""
 
     responder: bool
     p_unadjusted: float
@@ -213,11 +214,6 @@ def draw_instance(
     return counts, truth
 
 
-def true_oracle_p(counts: AssayCounts, truth: InstanceTruth) -> float:
-    """p-value of the infeasible test run at the generating rates."""
-    return p_value_at(counts, truth.theta)
-
-
 def _replicate(
     config: SimulationConfig,
     config_max: SetConfig,
@@ -232,7 +228,7 @@ def _replicate(
         p_unadjusted=result.p_unadjusted,
         p_max_adjusted=result.p_max_adjusted,
         p_min_adjusted=result.p_min_adjusted,
-        p_oracle=true_oracle_p(counts, truth),
+        p_oracle=p_value_at(counts, truth.theta),
     )
 
 
@@ -247,42 +243,26 @@ def run_replications(config: SimulationConfig) -> list[Replication]:
 
 def summarize(replications: list[Replication], config: SimulationConfig) -> SimulationSummary:
     """Declaration rates at level config.alpha, as percent of replications."""
-    responder = np.array([r.responder for r in replications], dtype=bool)
-    reps = len(replications)
-
-    def rates(pvalues: list[float | None]) -> tuple[float, float, int]:
-        defined = np.array([p is not None for p in pvalues], dtype=bool)
-        p = np.array([p if p is not None else np.nan for p in pvalues], dtype=float)
-        denom = int(defined.sum())
-        if denom == 0:
-            return (float("nan"), float("nan"), reps)
-        with np.errstate(invalid="ignore"):
-            declared = defined & (p <= config.alpha)
-        type1 = 100.0 * float((declared & ~responder).sum()) / denom
-        power = 100.0 * float((declared & responder).sum()) / denom
-        return (type1, power, reps - denom)
-
-    unadj_t1, unadj_pw, _ = rates([r.p_unadjusted for r in replications])
-    max_t1, max_pw, _ = rates([r.p_max_adjusted for r in replications])
-    min_t1, min_pw, n_undef = rates([r.p_min_adjusted for r in replications])
-    orc_t1, orc_pw, _ = rates([r.p_oracle for r in replications])
+    rates: dict[str, float] = {}
+    for name in ("unadjusted", "max_adjusted", "min_adjusted", "oracle"):
+        # Replications with an undefined p-value leave this denominator.
+        defined = [r for r in replications if getattr(r, "p_" + name) is not None]
+        declared = [r.responder for r in defined if getattr(r, "p_" + name) <= config.alpha]
+        for rate, responder in (("type1", False), ("power", True)):
+            rates[f"{name}_{rate}"] = (
+                100.0 * declared.count(responder) / len(defined) if defined else float("nan")
+            )
+    n_responders = sum(r.responder for r in replications)
     return SimulationSummary(
         scenario=config.scenario,
         n_control=config.n_control,
         gamma=config.gamma,
-        reps=reps,
+        reps=len(replications),
         seed=config.seed,
-        n_responders=int(responder.sum()),
-        n_nonresponders=int((~responder).sum()),
-        n_min_undefined=n_undef,
-        unadjusted_type1=unadj_t1,
-        unadjusted_power=unadj_pw,
-        max_adjusted_type1=max_t1,
-        max_adjusted_power=max_pw,
-        min_adjusted_type1=min_t1,
-        min_adjusted_power=min_pw,
-        oracle_type1=orc_t1,
-        oracle_power=orc_pw,
+        n_responders=n_responders,
+        n_nonresponders=len(replications) - n_responders,
+        n_min_undefined=sum(r.p_min_adjusted is None for r in replications),
+        **rates,
     )
 
 

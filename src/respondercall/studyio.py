@@ -79,7 +79,6 @@ def load_study(path: str) -> list[StudyRecord]:
         missing = [name for name in _REQUIRED_COLUMNS if name not in names]
         if missing:
             raise SchemaError(f"{path}: missing required column(s) {missing}")
-        position = {name: i for i, name in enumerate(names)}
 
         records: list[StudyRecord] = []
         seen: set[str] = set()
@@ -91,7 +90,8 @@ def load_study(path: str) -> list[StudyRecord]:
                 raise SchemaError(
                     f"{path}:{line}: expected {len(names)} fields, got {len(row)}"
                 )
-            pid = row[position["participant_id"]].strip()
+            cells = {name: text.strip() for name, text in zip(names, row)}
+            pid = cells["participant_id"]
             if not pid:
                 raise SchemaError(f"{path}:{line}: empty participant_id")
             if pid in seen:
@@ -99,7 +99,7 @@ def load_study(path: str) -> list[StudyRecord]:
             seen.add(pid)
             values: dict[str, int] = {}
             for name in _REQUIRED_COLUMNS[1:]:
-                text = row[position[name]].strip()
+                text = cells[name]
                 try:
                     values[name] = int(text)
                 except ValueError:
@@ -111,20 +111,16 @@ def load_study(path: str) -> list[StudyRecord]:
             except InvalidCountsError as exc:
                 raise SchemaError(f"{path}:{line}: {exc}") from None
             kind = ControlKind.GENERIC
-            if "control_kind" in position:
-                text = row[position["control_kind"]].strip().lower()
-                if text:
-                    try:
-                        kind = ControlKind(text)
-                    except ValueError:
-                        raise SchemaError(
-                            f"{path}:{line}: control_kind must be 'generic' or "
-                            f"'negative', got {text!r}"
-                        ) from None
-            marker = None
-            if "marker" in position:
-                text = row[position["marker"]].strip()
-                marker = text or None
+            text = cells.get("control_kind", "").lower()
+            if text:
+                try:
+                    kind = ControlKind(text)
+                except ValueError:
+                    raise SchemaError(
+                        f"{path}:{line}: control_kind must be 'generic' or "
+                        f"'negative', got {text!r}"
+                    ) from None
+            marker = cells.get("marker") or None
             records.append(
                 StudyRecord(participant_id=pid, counts=counts, control_kind=kind, marker=marker)
             )
@@ -236,33 +232,19 @@ def analyze_study(
         )
         return background_subtracted_magnitude(record.counts), result
 
-    if not kept:
-        return AnalysisReport(config=config, n_input=len(records), excluded=excluded)
     analyzed = ordered_map(analyze_one, kept)
 
-    bh_unadj = bh_adjust([result.p_unadjusted for _, result in analyzed], config.fdr_q)
-    bh_max = bh_adjust([result.p_max_adjusted for _, result in analyzed], config.fdr_q)
-    defined = [
-        i for i, (_, result) in enumerate(analyzed) if result.p_min_adjusted is not None
-    ]
-    bh_min: list[FdrDecision | None] = [None] * len(analyzed)
-    if defined:
-        for i, decision in zip(
-            defined,
-            bh_adjust([analyzed[i][1].p_min_adjusted for i in defined], config.fdr_q),
-        ):
-            bh_min[i] = decision
+    def bh_column(pvalues: list[float | None]) -> list[FdrDecision | None]:
+        decisions = iter(bh_adjust([p for p in pvalues if p is not None], config.fdr_q))
+        return [None if p is None else next(decisions) for p in pvalues]
 
+    columns = [
+        bh_column([getattr(result, name) for _, result in analyzed])
+        for name in ("p_unadjusted", "p_max_adjusted", "p_min_adjusted")
+    ]
     participants = [
-        ParticipantAnalysis(
-            record=record,
-            magnitude_pct=magnitude,
-            result=result,
-            bh_unadjusted=bh_unadj[i],
-            bh_max_adjusted=bh_max[i],
-            bh_min_adjusted=bh_min[i],
-        )
-        for i, (record, (magnitude, result)) in enumerate(zip(kept, analyzed))
+        ParticipantAnalysis(record, magnitude, result, *decisions)
+        for record, (magnitude, result), *decisions in zip(kept, analyzed, *columns)
     ]
     return AnalysisReport(
         config=config, n_input=len(records), participants=participants, excluded=excluded
@@ -338,23 +320,20 @@ def _cell(value) -> str:
 
 
 def write_report_csv(report: AnalysisReport, stream: IO[str]) -> None:
-    """Write the per-participant rows as a flat CSV mirror of the JSON."""
+    """Write one CSV row per participant: its JSON entry, flattened.
+
+    counts go inline, p_range becomes p_range_low/p_range_high, and each
+    bh decision becomes bh_p_<column>/bh_rejected_<column>; a missing
+    range or decision leaves its cells empty.  alpha and alpha_prime
+    appear in the JSON only.
+    """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for part in report.participants:
-        record, result = part.record, part.result
-        counts = record.counts
-        low, high = result.p_range if result.p_range is not None else (None, None)
-        row = [
-            record.participant_id, record.control_kind.value, record.marker,
-            counts.n0, counts.N0, counts.n1, counts.N1,
-            counts.c0, counts.C0, counts.c1, counts.C1,
-            part.magnitude_pct, result.p_unadjusted, result.p_max_adjusted,
-            result.p_min_adjusted, result.set_nonempty, low, high,
-            result.unadjusted_in_set,
-            part.bh_unadjusted.p_bh, part.bh_unadjusted.rejected,
-            part.bh_max_adjusted.p_bh, part.bh_max_adjusted.rejected,
-            part.bh_min_adjusted.p_bh if part.bh_min_adjusted else None,
-            part.bh_min_adjusted.rejected if part.bh_min_adjusted else None,
-        ]
-        writer.writerow([_cell(value) for value in row])
+        entry = _participant_dict(part)
+        flat = {**entry, **entry["counts"]}
+        flat["p_range_low"], flat["p_range_high"] = entry["p_range"] or (None, None)
+        for column, decision in entry["bh"].items():
+            flat[f"bh_p_{column}"] = decision and decision["p_bh"]
+            flat[f"bh_rejected_{column}"] = decision and decision["rejected"]
+        writer.writerow([_cell(flat[name]) for name in _CSV_COLUMNS])

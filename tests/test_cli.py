@@ -193,8 +193,15 @@ def test_simulate_rejects_bad_settings():
     assert proc.returncode == 2
     cell = ["simulate", "--scenario", "I", "--gamma", "2", "--n-control", "1000",
             "--reps", "2"]
+    # Only the refused setting is named, not its sibling.
+    proc = run_cli(*cell, "--grid-fp", "1")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: --grid-fp must be at least 2, got 1")
+    assert "--grid-fn" not in proc.stderr
     for flags, env, word in (
-        (["--grid-fp", "1"], None, "--grid-fp"),
+        (["--grid-fn", "1"], None, "error: --grid-fn must be at least 2, got 1"),
+        (["--gamma", "nan"], None, "error: --gamma must exceed 1, got nan"),
+        (["--seed", "-1"], None, "error: --seed must be non-negative, got -1"),
         (["--refine-levels", "-1"], None, "--refine-levels"),
         ([], {"RESPONDER_THREADS": "abc"}, "RESPONDER_THREADS"),
         (["--alpha-prime", "1.5"], None, "error: --alpha-prime must lie in (0, 1)"),

@@ -15,7 +15,6 @@ from respondercall import (
     run_cell,
     run_replications,
     summarize,
-    true_oracle_p,
     p_value_at,
 )
 from respondercall._threads import worker_count
@@ -124,9 +123,13 @@ def test_control_truth_uses_the_configured_proportion():
 
 
 def test_oracle_p_evaluates_at_the_generating_rates():
-    rng = np.random.default_rng(11)
-    counts, truth = draw_instance(_config(), rng)
-    assert true_oracle_p(counts, truth) == p_value_at(counts, truth.theta)
+    # Replication i draws its participant from the i-th child seed.
+    config = _config(scenario="III", reps=4, seed=11)
+    children = np.random.SeedSequence(config.seed).spawn(config.reps)
+    for replication, child in zip(run_replications(config), children):
+        counts, truth = draw_instance(config, np.random.default_rng(child))
+        assert replication.responder == truth.responder
+        assert replication.p_oracle == p_value_at(counts, truth.theta)
 
 
 def test_run_replications_is_deterministic():
@@ -194,6 +197,24 @@ def test_summarize_arithmetic_by_hand():
     assert summary.oracle_type1 == 100.0 * 1 / 5
     assert summary.scenario == config.scenario
     assert summary.seed == config.seed
+
+
+def test_summarize_with_every_min_undefined():
+    config = _config(reps=3)
+    replications = [
+        Replication(True, 0.01, 0.2, None, 0.01),
+        Replication(False, 0.5, 1.0, None, 0.04),
+        Replication(True, 0.03, 0.04, None, 0.9),
+    ]
+    summary = summarize(replications, config)
+    assert summary.n_min_undefined == 3
+    assert math.isnan(summary.min_adjusted_type1)
+    assert math.isnan(summary.min_adjusted_power)
+    # The other procedures keep all three replications as their denominator.
+    assert summary.unadjusted_power == 100.0 * 2 / 3
+    assert summary.max_adjusted_power == 100.0 * 1 / 3
+    assert summary.oracle_type1 == 100.0 * 1 / 3
+    assert summary.oracle_power == 100.0 * 1 / 3
 
 
 def test_single_replication_rates_are_all_or_nothing():

@@ -22,7 +22,7 @@ from respondercall import (
     write_report_json,
 )
 from respondercall.nuisance import set_config_pair
-from respondercall.studyio import _CSV_COLUMNS
+from respondercall.studyio import _CSV_COLUMNS, _cell
 
 
 def _write(tmp_path, text):
@@ -260,3 +260,46 @@ def test_csv_report_round_trips_exact_floats():
             assert float(cells["p_min_adjusted"]) == participant.result.p_min_adjusted
         assert cells["set_nonempty"] in ("true", "false")
         assert cells["n0"] == str(participant.record.counts.n0)
+
+
+# The records of _mixed_records, plus control kinds and blank and non-blank markers.
+MIXED_STUDY = """participant_id,n0,N0,n1,N1,c0,C0,c1,C1,control_kind,marker
+big,30,40000,90,50000,4,40000,5,50000,,IFNg
+shift,50,10000,400,10000,0,10000,500,10000,generic,
+null,20,30000,22,30000,3,30000,4,30000,negative,IL2
+tiny,2,4000,9,4000,1,4000,1,4000,,
+"""
+
+
+def test_csv_row_is_the_flattened_json_entry(tmp_path):
+    report = analyze_study(load_study(str(_write(tmp_path, MIXED_STUDY))), _mixed_config())
+    json_stream, csv_stream = io.StringIO(), io.StringIO()
+    write_report_json(report, json_stream)
+    write_report_csv(report, csv_stream)
+    entries = json.loads(json_stream.getvalue())["participants"]
+    reader = csv.DictReader(io.StringIO(csv_stream.getvalue()))
+    rows = list(reader)
+    assert reader.fieldnames == _CSV_COLUMNS
+    assert [row["participant_id"] for row in rows] == ["big", "shift", "null"]
+    for entry, row in zip(entries, rows):
+        for name in ("participant_id", "control_kind", "marker", "magnitude_pct",
+                     "p_unadjusted", "p_max_adjusted", "p_min_adjusted",
+                     "set_nonempty", "unadjusted_in_set"):
+            assert row[name] == _cell(entry[name]), name
+        for name, value in entry["counts"].items():
+            assert row[name] == _cell(value), name
+        low, high = entry["p_range"] or (None, None)
+        assert (row["p_range_low"], row["p_range_high"]) == (_cell(low), _cell(high))
+        for column, decision in entry["bh"].items():
+            p_bh, rejected = (decision["p_bh"], decision["rejected"]) if decision else (None, None)
+            assert row[f"bh_p_{column}"] == _cell(p_bh), column
+            assert row[f"bh_rejected_{column}"] == _cell(rejected), column
+    # Every kind of cell occurs: a negative control, a blank marker, and an
+    # empty set whose undefined min p-value leaves its range and BH cells empty.
+    assert rows[2]["control_kind"] == "negative" and rows[0]["marker"] == "IFNg"
+    shift = rows[1]
+    assert entries[1]["p_min_adjusted"] is None and entries[1]["bh"]["min_adjusted"] is None
+    for name in ("marker", "p_min_adjusted", "p_range_low", "p_range_high",
+                 "bh_p_min_adjusted", "bh_rejected_min_adjusted"):
+        assert shift[name] == "", name
+    assert shift["bh_rejected_unadjusted"] == "true" and shift["set_nonempty"] == "false"
