@@ -61,21 +61,19 @@ def analyze_participant(
     at a single level, pass the same configuration twice.
     """
     p_star = unadjusted_p(counts)
-    grid_max = build_grid(counts, config_max, assume_equal_fn=assume_equal_fn)
-    grid_min = build_grid(counts, config_min, assume_equal_fn=assume_equal_fn)
-    p_min = (
-        min(max(p_star, grid_min.inf_p), grid_min.sup_p) if grid_min.nonempty else None
-    )
+    grid = build_grid(counts, config_max, assume_equal_fn=assume_equal_fn)
+    p_range = (grid.inf_p, grid.sup_p) if grid.nonempty else None
+    del grid  # one grid alive at a time: free this one before the next is built
+    grid = build_grid(counts, config_min, assume_equal_fn=assume_equal_fn)
+    p_min = min(max(p_star, grid.inf_p), grid.sup_p) if grid.nonempty else None
     return ResponderResult(
         p_unadjusted=p_star,
-        p_max_adjusted=(
-            min(1.0, grid_max.sup_p + config_max.alpha) if grid_max.nonempty else 1.0
-        ),
+        p_max_adjusted=min(1.0, p_range[1] + config_max.alpha) if p_range else 1.0,
         p_min_adjusted=p_min,
         alpha=config_min.alpha,
         alpha_prime=config_max.alpha,
-        set_nonempty=grid_max.nonempty,
-        p_range=(grid_max.inf_p, grid_max.sup_p) if grid_max.nonempty else None,
+        set_nonempty=p_range is not None,
+        p_range=p_range,
         # The clamp leaves p* unchanged exactly when it lies in the bracket.
         unadjusted_in_set=p_min == p_star,
     )

@@ -27,8 +27,10 @@ only by the grid limits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -60,6 +62,7 @@ class ControlKind(str, Enum):
 
 
 _INTERVALS = ("wilson", "clopper-pearson")
+_SLAB_POINTS = 2**18  # points per base-mesh slab: bounds evaluation temporaries
 
 
 @dataclass(frozen=True)
@@ -221,18 +224,19 @@ def in_confidence_set(
 class NuisanceGrid:
     """Evaluated rate grid: membership and primary p-value per point.
 
-    Point arrays are in evaluation order: the base mesh, then each
-    refinement block.  They may hold exact duplicates where clipped
+    Points are in evaluation order: the base mesh, then each refinement
+    block, each stored as its (fp0, fn0, fp1, fn1) axis values and
+    enumerated as :func:`_mesh` does.  Points may repeat where clipped
     refinement points coincide, so n_points counts evaluated points;
-    to_rows gives the distinct points sorted.  p_theta is NaN at points
-    whose correction denominator is unusable; such points are never in
-    the set.  sup_p and inf_p are None exactly when the set is empty.
+    to_rows gives the distinct points sorted.  The point columns fp0,
+    fn0, fp1 and fn1 are built on first read and then kept; theta_at
+    does not build them.  p_theta is NaN at points whose correction
+    denominator is unusable; such points are never in the set.  sup_p
+    and inf_p are None exactly when the set is empty.
     """
 
-    fp0: np.ndarray
-    fn0: np.ndarray
-    fp1: np.ndarray
-    fn1: np.ndarray
+    meshes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    equal_fn: bool
     in_set: np.ndarray
     p_theta: np.ndarray
     sup_p: float | None
@@ -244,12 +248,21 @@ class NuisanceGrid:
 
     @property
     def n_points(self) -> int:
-        return int(self.fp0.shape[0])
+        return int(self.in_set.size)
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        blocks = [_mesh(*axes, self.equal_fn) for axes in self.meshes]
+        return tuple(np.concatenate(column) for column in zip(*blocks))
+
+    fp0 = property(lambda self: self._columns[0])
+    fn0 = property(lambda self: self._columns[1])
+    fp1 = property(lambda self: self._columns[2])
+    fn1 = property(lambda self: self._columns[3])
 
     def theta_at(self, i: int) -> MisclassRates:
-        return MisclassRates(
-            float(self.fp0[i]), float(self.fn0[i]), float(self.fp1[i]), float(self.fn1[i])
-        )
+        # range indexing: negative i counts from the end, out of range raises IndexError.
+        return MisclassRates(*_point(self.meshes, self.equal_fn, range(self.n_points)[i]))
 
     def to_rows(self) -> Iterator[tuple[float, float, float, float, bool, float]]:
         """Yield (fp0, fn0, fp1, fn1, in_set, p_theta) per distinct grid point.
@@ -290,6 +303,19 @@ def _mesh(fp0_vals, fn0_vals, fp1_vals, fn1_vals, equal_fn: bool):
     return tuple(g.ravel() for g in grids)
 
 
+def _point(meshes, equal_fn: bool, i: int) -> tuple[float, float, float, float]:
+    """(fp0, fn0, fp1, fn1) of point i, 0 <= i < n_points, of the meshes."""
+    # fp0 leads both enumeration orders: one fp0 value's points give the rest.
+    for fp0_vals, *others in meshes:
+        _, *rest = _mesh(fp0_vals[:1], *others, equal_fn)
+        size = fp0_vals.size * rest[0].size
+        if i < size:
+            k, j = divmod(i, rest[0].size)
+            return (float(fp0_vals[k]), *(float(column[j]) for column in rest))
+        i -= size
+    raise IndexError(i)
+
+
 def build_grid(
     counts: AssayCounts, config: SetConfig, assume_equal_fn: bool = True
 ) -> NuisanceGrid:
@@ -302,7 +328,8 @@ def build_grid(
     refine_levels rounds add local points around the in-set argmax and
     argmin of the primary p-value, halving the axis spacing each round,
     so the reported [inf_p, sup_p] bracket can only widen.  Points are
-    kept in evaluation order, neither sorted nor deduplicated.
+    kept in evaluation order, neither sorted nor deduplicated; the base
+    mesh is evaluated in slabs of consecutive fp0 values.
     """
     fp_max = config.fp_max if config.fp_max is not None else default_fp_max(counts)
     fn_max = config.fn_max
@@ -316,39 +343,42 @@ def build_grid(
         p = _p_value_arrays(counts.n0, counts.N0, counts.n1, counts.N1, fp0, fn0, fp1, fn1)
         return member, p
 
-    fp0, fn0, fp1, fn1 = _mesh(fp_axis, fn_axis, fp_axis, fn_axis, assume_equal_fn)
-    in_set, p_theta = evaluate(fp0, fn0, fp1, fn1)
+    meshes = [(fp_axis, fn_axis, fp_axis, fn_axis)]
+    per_fp0 = fp_axis.size * fn_axis.size ** (1 if assume_equal_fn else 2)
+    in_set = np.empty(fp_axis.size * per_fp0, dtype=bool)
+    p_theta = np.empty(in_set.size)
+    fp0_per_slab = max(1, _SLAB_POINTS // per_fp0)
+    for k in range(0, fp_axis.size, fp0_per_slab):
+        fp0_vals = fp_axis[k : k + fp0_per_slab]
+        slab = slice(k * per_fp0, (k + fp0_vals.size) * per_fp0)
+        in_set[slab], p_theta[slab] = evaluate(
+            *_mesh(fp0_vals, fn_axis, fp_axis, fn_axis, assume_equal_fn)
+        )
 
     for level in range(1, config.refine_levels + 1):
-        if not in_set.any():
+        members = np.flatnonzero(in_set)
+        if not members.size:
             break
         h_fp = step_fp / 2.0**level
         h_fn = step_fn / 2.0**level
-        masked = np.where(in_set, p_theta, np.nan)
-        targets = {int(np.nanargmax(masked)), int(np.nanargmin(masked))}
+        # Members never have NaN p_theta; argmax/argmin take the first tie.
+        in_p = p_theta[members]
+        targets = {int(members[np.argmax(in_p)]), int(members[np.argmin(in_p)])}
+        steps, limits = (h_fp, h_fn, h_fp, h_fn), (fp_max, fn_max, fp_max, fn_max)
         blocks = [
-            _mesh(
-                _local_values(float(fp0[i]), h_fp, fp_max),
-                _local_values(float(fn0[i]), h_fn, fn_max),
-                _local_values(float(fp1[i]), h_fp, fp_max),
-                _local_values(float(fn1[i]), h_fn, fn_max),
-                assume_equal_fn,
-            )
+            tuple(map(_local_values, _point(meshes, assume_equal_fn, i), steps, limits))
             for i in sorted(targets)
         ]
-        new = [np.concatenate(axis) for axis in zip(*blocks)]
-        new_in, new_p = evaluate(*new)
-        fp0, fn0, fp1, fn1, in_set, p_theta = (
-            np.concatenate(pair)
-            for pair in zip((fp0, fn0, fp1, fn1, in_set, p_theta), (*new, new_in, new_p))
-        )
+        meshes += blocks
+        columns = [_mesh(*axes, assume_equal_fn) for axes in blocks]
+        new_in, new_p = evaluate(*(np.concatenate(c) for c in zip(*columns)))
+        in_set = np.concatenate([in_set, new_in])
+        p_theta = np.concatenate([p_theta, new_p])
 
     selected = p_theta[in_set]
     return NuisanceGrid(
-        fp0=fp0,
-        fn0=fn0,
-        fp1=fp1,
-        fn1=fn1,
+        meshes=tuple(meshes),
+        equal_fn=assume_equal_fn,
         in_set=in_set,
         p_theta=p_theta,
         sup_p=float(selected.max()) if selected.size else None,

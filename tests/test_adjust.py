@@ -1,5 +1,7 @@
 """Maximal and minimal adjustment of the responder p-value."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,18 @@ def test_worked_example_bundle(
             assert result.p_min_adjusted == high
     result_one = analyze_participant(participant_one, pinned_config, pinned_config)
     assert 0.0575 <= result_one.p_max_adjusted <= 0.0605
+
+
+def test_separate_fn_analysis_memory_is_bounded(participant_one):
+    # A grid keeps one bool and one float per point plus one slab of
+    # evaluation temporaries, and the alpha_prime grid is freed before the
+    # alpha grid is built.  Full-size columns and temporaries for the two
+    # 4.5M-point grids take over 600 MB.
+    config = SetConfig(alpha=0.05, delta0=0.05)
+    tracemalloc.start()
+    try:
+        analyze_participant(participant_one, config, config, assume_equal_fn=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2**20

@@ -16,6 +16,7 @@ from respondercall import (
     in_confidence_set,
     wilson_interval,
 )
+from respondercall import nuisance
 
 NEGATIVE = ControlKind.NEGATIVE
 
@@ -269,3 +270,29 @@ def test_theta_at_round_trips(participant_one):
         member, p_theta = rows[(theta.fp0, theta.fn0, theta.fp1, theta.fn1)]
         assert isinstance(member, bool)
         assert (member, p_theta) == (bool(grid.in_set[i]), float(grid.p_theta[i]))
+
+
+def test_slab_size_cannot_change_results(participant_one, monkeypatch):
+    # These grids fit one default slab; 300 points splits each base mesh.
+    for kind in (ControlKind.GENERIC, NEGATIVE):
+        for equal_fn in (True, False):
+            config = SetConfig(alpha=0.05, control_kind=kind, delta0=0.1, fn_max=0.2,
+                               grid_fp=15, grid_fn=5, refine_levels=2)
+            whole = build_grid(participant_one, config, assume_equal_fn=equal_fn)
+            with monkeypatch.context() as patch:
+                patch.setattr(nuisance, "_SLAB_POINTS", 300)
+                slabbed = build_grid(participant_one, config, assume_equal_fn=equal_fn)
+            n_base = 15 * 15 * 5 ** (1 if equal_fn else 2)
+            assert n_base < whole.n_points == slabbed.n_points
+            for name in ("in_set", "p_theta", "fp0", "fn0", "fp1", "fn1"):
+                assert np.array_equal(getattr(whole, name), getattr(slabbed, name),
+                                      equal_nan=name == "p_theta")
+            assert (whole.sup_p, whole.inf_p) == (slabbed.sup_p, slabbed.inf_p)
+            assert list(whole.to_rows()) == list(slabbed.to_rows())
+            for i in (0, n_base // 3, n_base - 1, n_base, whole.n_points - 1, -1):
+                theta = slabbed.theta_at(i)
+                assert theta == whole.theta_at(i)
+                assert theta == MisclassRates(float(whole.fp0[i]), float(whole.fn0[i]),
+                                              float(whole.fp1[i]), float(whole.fn1[i]))
+            with pytest.raises(IndexError):
+                slabbed.theta_at(slabbed.n_points)
