@@ -220,19 +220,11 @@ def _run_surface(args) -> int:
     config = SetConfig(alpha=kwargs.pop("alpha", 0.05), control_kind=kind, **kwargs)
     grid = build_grid(record.counts, config, assume_equal_fn=equal_fn)
 
-    def write(stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["fp0", "fn0", "fp1", "fn1", "in_set", "p_theta"])
-        for fp0, fn0, fp1, fn1, in_set, p_theta in grid.to_rows():
-            writer.writerow(
-                [repr(fp0), repr(fn0), repr(fp1), repr(fn1), int(in_set), repr(p_theta)]
-            )
-
     if args.out is None:
-        write(sys.stdout)
+        sys.stdout.writelines(grid.to_rows())
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write(fh)
+            fh.writelines(grid.to_rows())
     return EXIT_OK
 
 

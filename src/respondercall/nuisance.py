@@ -63,6 +63,7 @@ class ControlKind(str, Enum):
 
 _INTERVALS = ("wilson", "clopper-pearson")
 _SLAB_POINTS = 2**18  # points per base-mesh slab: bounds evaluation temporaries
+_ROW_BLOCK = 8192  # lines per block of surface CSV text: bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def in_confidence_set(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NuisanceGrid:
     """Evaluated rate grid: membership and primary p-value per point.
 
@@ -230,9 +231,10 @@ class NuisanceGrid:
     refinement points coincide, so n_points counts evaluated points;
     to_rows gives the distinct points sorted.  The point columns fp0,
     fn0, fp1 and fn1 are built on first read and then kept; theta_at
-    does not build them.  p_theta is NaN at points whose correction
-    denominator is unusable; such points are never in the set.  sup_p
-    and inf_p are None exactly when the set is empty.
+    and to_rows do not build them.  p_theta is NaN at points whose
+    correction denominator is unusable; such points are never in the
+    set.  sup_p and inf_p are None exactly when the set is empty.
+    Grids compare and hash by identity.
     """
 
     meshes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
@@ -264,18 +266,42 @@ class NuisanceGrid:
         # range indexing: negative i counts from the end, out of range raises IndexError.
         return MisclassRates(*_point(self.meshes, self.equal_fn, range(self.n_points)[i]))
 
-    def to_rows(self) -> Iterator[tuple[float, float, float, float, bool, float]]:
-        """Yield (fp0, fn0, fp1, fn1, in_set, p_theta) per distinct grid point.
+    def to_rows(self) -> Iterator[str]:
+        """Yield the surface export as CSV text, in blocks of whole lines.
 
-        Rows are sorted lexicographically by (fp0, fn0, fp1, fn1); of
-        duplicated points the first evaluated is kept.
+        The header line comes first, then one
+        ``fp0,fn0,fp1,fn1,in_set,p_theta`` line per distinct grid point,
+        sorted by (fp0, fn0, fp1, fn1), at most _ROW_BLOCK lines per
+        block; of duplicated points the first evaluated is kept.  Cells
+        are the repr of each value and in_set is 0 or 1.
         """
-        rows = np.column_stack([self.fp0, self.fn0, self.fp1, self.fn1])
-        _, keep = np.unique(rows, axis=0, return_index=True)
-        columns = (self.fp0, self.fn0, self.fp1, self.fn1, self.in_set, self.p_theta)
-        # By blocks: a default grid's Python floats at once add ~20 MB of peak.
-        for block in np.split(keep, range(8192, keep.size, 8192)):
-            yield from zip(*(column[block].tolist() for column in columns))
+        yield "fp0,fn0,fp1,fn1,in_set,p_theta\n"
+        # Each column's distinct values are its axes' values.  A point's
+        # value ranks (codes) per column give one integer key whose order
+        # is the rows' lexicographic order.  In equal_fn mode _mesh reads
+        # the fn0 axes for both fn columns.
+        sources = (0, 1, 2, 1 if self.equal_fn else 3)
+        values = [np.unique(np.concatenate([m[s] for m in self.meshes])) for s in sources]
+        dims = tuple(v.size for v in values)
+        key = np.concatenate([
+            np.ravel_multi_index(
+                _mesh(*map(np.searchsorted, values, axes), self.equal_fn), dims
+            )
+            for axes in self.meshes
+        ])
+        key, keep = np.unique(key, return_index=True)
+        # Each distinct rate gets one repr; only p_theta needs one per line.
+        labels = [np.array(list(map(repr, v.tolist())), dtype=object) for v in values]
+        for start in range(0, key.size, _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            codes = np.unravel_index(key[block], dims)
+            cells = [label[code].tolist() for label, code in zip(labels, codes)]
+            flags = self.in_set[keep[block]].astype(np.int8).tolist()
+            p_theta = self.p_theta[keep[block]].tolist()
+            yield "".join(
+                f"{fp0},{fn0},{fp1},{fn1},{flag},{p!r}\n"
+                for fp0, fn0, fp1, fn1, flag, p in zip(*cells, flags, p_theta)
+            )
 
 
 def _axis(limit: float, n: int) -> np.ndarray:

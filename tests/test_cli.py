@@ -1,13 +1,22 @@
-"""Command line entry points, exercised through subprocesses."""
+"""Command line entry points, exercised through subprocesses.
+
+The surface byte and memory tests call cli.main in this process, so that
+they can patch a module constant or trace allocations.
+"""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
-from respondercall import SetConfig, build_grid, load_study
+import numpy as np
+import pytest
+
+from respondercall import SetConfig, build_grid, cli, load_study, nuisance
 
 GOLDEN_FLAGS = [
     "--alpha", "0.05", "--alpha-prime", "0.05", "--fp-max", "0.002",
@@ -231,19 +240,81 @@ def test_surface_exports_the_full_grid(golden_study_file, tmp_path):
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["fp0", "fn0", "fp1", "fn1", "in_set", "p_theta"]
-    expected = list(grid.to_rows())
+    expected = list(csv.reader(io.StringIO("".join(grid.to_rows()))))[1:]
     assert len(rows) - 1 == len(expected)
     for i in (1, len(rows) - 1):
         fp0, fn0, fp1, fn1, in_set, p_theta = rows[i]
         assert in_set in ("0", "1")
-        assert float(fp0) == expected[i - 1][0]
-        got, want = float(p_theta), expected[i - 1][5]
+        assert float(fp0) == float(expected[i - 1][0])
+        got, want = float(p_theta), float(expected[i - 1][5])
         assert got == want or (math.isnan(got) and math.isnan(want))
     in_set_p = [
         float(r[5]) for r in rows[1:] if r[4] == "1"
     ]
     assert min(in_set_p) == grid.inf_p
     assert max(in_set_p) == grid.sup_p
+
+
+def csv_module_surface(grid) -> str:
+    """The surface export as csv.writer wrote it, with one repr per cell."""
+    rows = np.column_stack([grid.fp0, grid.fn0, grid.fp1, grid.fn1])
+    _, keep = np.unique(rows, axis=0, return_index=True)
+    columns = (grid.fp0, grid.fn0, grid.fp1, grid.fn1, grid.in_set, grid.p_theta)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["fp0", "fn0", "fp1", "fn1", "in_set", "p_theta"])
+    for fp0, fn0, fp1, fn1, in_set, p_theta in zip(*(c[keep].tolist() for c in columns)):
+        writer.writerow(
+            [repr(fp0), repr(fn0), repr(fp1), repr(fn1), int(in_set), repr(p_theta)]
+        )
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["generic", "negative"])
+@pytest.mark.parametrize("participant, spec, equal_fn", [
+    ("P1", "grid_fp=21,grid_fn=5,refine_levels=3", True),
+    ("P1", "grid_fp=13,grid_fn=7,refine_levels=2,delta0=0.1", False),
+    # fp + fn reaches 1 in a corner, where p_theta is NaN; Q1's set reaches
+    # this coarse grid, so its refinement rounds run.
+    ("Q1", "fp_max=0.5,fn_max=0.5,grid_fp=13,grid_fn=5,refine_levels=3", True),
+])
+def test_surface_bytes_match_the_csv_module_writer(
+    golden_study_file, tmp_path, capsys, monkeypatch, kind, participant, spec, equal_fn
+):
+    study = tmp_path / "study.csv"
+    study.write_text(golden_study_file.read_text(encoding="utf-8")
+                     + "Q1,5,100,20,100,3,100,9,120\n", encoding="utf-8")
+    record = {r.participant_id: r for r in load_study(str(study))}[participant]
+    settings, _ = cli._parse_grid_spec(spec)
+    grid = build_grid(record.counts, SetConfig(alpha=0.05, control_kind=kind, **settings),
+                      assume_equal_fn=equal_fn)
+    expected = csv_module_surface(grid)
+    # Refinement clipped some points onto a grid edge, where they repeat.
+    assert expected.count("\n") - 1 < grid.n_points
+    assert grid.nonempty
+    assert (",nan\n" in expected) == (participant == "Q1")
+    argv = ["surface", "--input", str(study), "--participant", participant,
+            "--control-kind", kind, "--grid", f"{spec},equal_fn={int(equal_fn)}"]
+    out = tmp_path / "surface.csv"
+    for block in (nuisance._ROW_BLOCK, 7):
+        monkeypatch.setattr(nuisance, "_ROW_BLOCK", block)
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_surface_export_memory_is_bounded(golden_study_file):
+    # The default grid's export is about 17 MB of text, written a block at a time.
+    argv = ["surface", "--input", str(golden_study_file), "--participant", "P1",
+            "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20
 
 
 def test_surface_rejects_bad_grid_spec(golden_study_file):

@@ -1,5 +1,7 @@
 """Control-compatible rate sets: intervals, membership and the grid."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -197,9 +199,16 @@ def test_grid_membership_matches_scalar_recheck(participant_one):
             )
 
 
+def surface_rows(grid) -> list[list[str]]:
+    """The cells of each data line of grid.to_rows(), below its header."""
+    header, *rows = csv.reader(io.StringIO("".join(grid.to_rows())))
+    assert header == ["fp0", "fn0", "fp1", "fn1", "in_set", "p_theta"]
+    return rows
+
+
 def test_grid_rows_sorted_and_unique(participant_one, pinned_config):
     grid = build_grid(participant_one, pinned_config)
-    rows = np.array([row[:4] for row in grid.to_rows()])
+    rows = np.array([[float(cell) for cell in row[:4]] for row in surface_rows(grid)])
     points = np.column_stack([grid.fp0, grid.fn0, grid.fp1, grid.fn1])
     assert rows.shape[0] == np.unique(points, axis=0).shape[0]
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
@@ -263,13 +272,13 @@ def test_theta_at_round_trips(participant_one):
     config = SetConfig(alpha=0.05, fp_max=0.001, fn_max=0.2, grid_fp=4, grid_fn=3,
                        refine_levels=0)
     grid = build_grid(participant_one, config)
-    rows = {row[:4]: row[4:] for row in grid.to_rows()}
+    rows = {tuple(map(float, row[:4])): row[4:] for row in surface_rows(grid)}
     assert len(rows) == grid.n_points
     for i in (0, grid.n_points // 2, grid.n_points - 1):
         theta = grid.theta_at(i)
         member, p_theta = rows[(theta.fp0, theta.fn0, theta.fp1, theta.fn1)]
-        assert isinstance(member, bool)
-        assert (member, p_theta) == (bool(grid.in_set[i]), float(grid.p_theta[i]))
+        assert member in ("0", "1")
+        assert (member == "1", float(p_theta)) == (bool(grid.in_set[i]), float(grid.p_theta[i]))
 
 
 def test_slab_size_cannot_change_results(participant_one, monkeypatch):
@@ -288,7 +297,7 @@ def test_slab_size_cannot_change_results(participant_one, monkeypatch):
                 assert np.array_equal(getattr(whole, name), getattr(slabbed, name),
                                       equal_nan=name == "p_theta")
             assert (whole.sup_p, whole.inf_p) == (slabbed.sup_p, slabbed.inf_p)
-            assert list(whole.to_rows()) == list(slabbed.to_rows())
+            assert surface_rows(whole) == surface_rows(slabbed)
             for i in (0, n_base // 3, n_base - 1, n_base, whole.n_points - 1, -1):
                 theta = slabbed.theta_at(i)
                 assert theta == whole.theta_at(i)
@@ -296,3 +305,13 @@ def test_slab_size_cannot_change_results(participant_one, monkeypatch):
                                               float(whole.fp1[i]), float(whole.fn1[i]))
             with pytest.raises(IndexError):
                 slabbed.theta_at(slabbed.n_points)
+
+
+def test_grids_compare_and_hash_by_identity(participant_one):
+    config = SetConfig(alpha=0.05, fp_max=0.001, fn_max=0.2, grid_fp=4, grid_fn=3,
+                       refine_levels=0)
+    grid, twin = build_grid(participant_one, config), build_grid(participant_one, config)
+    assert grid == grid and not grid != grid
+    assert grid != twin and not grid == twin
+    assert hash(grid) == hash(grid)
+    assert len({grid, twin, grid}) == 2
