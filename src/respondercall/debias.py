@@ -33,13 +33,14 @@ __all__ = [
     "MisclassRates",
     "debias_proportion",
     "control_z",
-    "responder_z",
     "p_value_at",
     "unadjusted_p",
 ]
 
 # Smallest tolerated value of the correction denominator 1 - fn - fp.
 DENOM_EPS = 1e-6
+# Largest accepted count: every integer up to 2**53 is exact as a float.
+_MAX_COUNT = 2**53
 
 
 class InvalidCountsError(ValueError):
@@ -57,7 +58,8 @@ class AssayCounts:
     Lower-case fields are positive counts, upper-case fields totals.
     (n0, N0) and (n1, N1) are the primary samples at T0 and T1;
     (c0, C0) and (c1, C1) are the paired control samples processed in
-    the same runs.
+    the same runs.  No count may exceed 2**53, so each is exact as a
+    float.
     """
 
     n0: int
@@ -74,6 +76,8 @@ class AssayCounts:
             value = getattr(self, name)
             if isinstance(value, bool) or int(value) != value:
                 raise InvalidCountsError(f"{name} must be an integer, got {value!r}")
+            if value > _MAX_COUNT:
+                raise InvalidCountsError(f"{name} must be at most 2**53, got {value}")
             object.__setattr__(self, name, int(value))
         for total in ("N0", "N1", "C0", "C1"):
             if getattr(self, total) < 1:
@@ -179,12 +183,6 @@ def control_z(counts: AssayCounts, theta: MisclassRates) -> float:
                                   theta.fp0, theta.fn0, theta.fp1, theta.fn1))
 
 
-def responder_z(counts: AssayCounts, theta: MisclassRates) -> float:
-    """Pooled z for the corrected primary proportions at T1 versus T0."""
-    return float(_pooled_z_arrays(counts.n0, counts.N0, counts.n1, counts.N1,
-                                  theta.fp0, theta.fn0, theta.fp1, theta.fn1))
-
-
 def p_value_arrays(x0, N0, x1, N1, fp0, fn0, fp1, fn1):
     """Vectorized one-sided upper-tail p-values on the corrected scale.
 
@@ -198,8 +196,9 @@ def p_value_arrays(x0, N0, x1, N1, fp0, fn0, fp1, fn1):
 def p_value_at(counts: AssayCounts, theta: MisclassRates) -> float:
     """One-sided p-value for a T1 increase, at candidate rates theta.
 
-    Computed as the upper-tail normal probability of responder_z and
-    clamped to [0, 1]; an infinite statistic maps to 0 or 1.
+    Computed as the upper-tail normal probability of the pooled z for
+    the corrected primary proportions at T1 versus T0, clamped to
+    [0, 1]; an infinite statistic maps to 0 or 1.
     """
     return float(p_value_arrays(counts.n0, counts.N0, counts.n1, counts.N1,
                                 theta.fp0, theta.fn0, theta.fp1, theta.fn1))

@@ -27,10 +27,8 @@ only by the grid limits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -229,12 +227,11 @@ class NuisanceGrid:
     block, each stored as its (fp0, fn0, fp1, fn1) axis values and
     enumerated as :func:`_mesh` does.  Points may repeat where clipped
     refinement points coincide, so n_points counts evaluated points;
-    to_rows gives the distinct points sorted.  The point columns fp0,
-    fn0, fp1 and fn1 are built on first read and then kept; theta_at
-    and to_rows do not build them.  p_theta is NaN at points whose
-    correction denominator is unusable; such points are never in the
-    set.  sup_p and inf_p are None exactly when the set is empty.
-    Grids compare and hash by identity.
+    to_rows gives the distinct points sorted; no per-point rate column
+    is kept.  p_theta is NaN at points whose correction denominator is
+    unusable; such points are never in the set.  sup_p and inf_p are
+    None exactly when the set is empty.  Grids compare and hash by
+    identity.
     """
 
     meshes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
@@ -251,20 +248,6 @@ class NuisanceGrid:
     @property
     def n_points(self) -> int:
         return int(self.in_set.size)
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        blocks = [_mesh(*axes, self.equal_fn) for axes in self.meshes]
-        return tuple(np.concatenate(column) for column in zip(*blocks))
-
-    fp0 = property(lambda self: self._columns[0])
-    fn0 = property(lambda self: self._columns[1])
-    fp1 = property(lambda self: self._columns[2])
-    fn1 = property(lambda self: self._columns[3])
-
-    def theta_at(self, i: int) -> MisclassRates:
-        # range indexing: negative i counts from the end, out of range raises IndexError.
-        return MisclassRates(*_point(self.meshes, self.equal_fn, range(self.n_points)[i]))
 
     def to_rows(self) -> Iterator[str]:
         """Yield the surface export as CSV text, in blocks of whole lines.

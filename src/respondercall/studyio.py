@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from ._threads import ordered_map
 from .adjust import ResponderResult, analyze_participant
@@ -56,17 +56,27 @@ class StudyRecord:
     marker: str | None = None
 
 
+def _rows(path: str, reader) -> Iterator[list[str]]:
+    """reader's rows; a line it cannot parse raises SchemaError naming it."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_study(path: str) -> list[StudyRecord]:
     """Read study records from a CSV file.
 
     A UTF-8 byte order mark is ignored, and so are rows whose fields
     are all blank.  Raises SchemaError, naming the offending line, for
-    a missing or unknown column, a malformed value, counts that fail
-    validation, or a duplicated participant_id.
+    a missing or unknown column, a line the csv module cannot parse, a
+    malformed value, counts that fail validation, or a duplicated
+    participant_id.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _rows(path, reader)
+        header = next(rows, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, expected a header row")
         names = [name.strip() for name in header]
@@ -82,7 +92,7 @@ def load_study(path: str) -> list[StudyRecord]:
 
         records: list[StudyRecord] = []
         seen: set[str] = set()
-        for row in reader:
+        for row in rows:
             line = reader.line_num
             if not any(field.strip() for field in row):
                 continue

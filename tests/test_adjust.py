@@ -3,7 +3,6 @@
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from respondercall import (
     AssayCounts,

@@ -171,6 +171,36 @@ def test_missing_input_and_out_directory_exit_2(golden_study_file, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("P9," + "x" * 140_000 + ",1,100,1,100,1,100,1,100",
+     ":5: field larger than field limit (131072)"),
+    (f"P9,1,{10**400},1,100,1,100,1,100", ":5: N0 must be at most 2**53"),
+    (f"P9,1,100,1,100,1,100,1,{2**53 + 1}", ":5: C1 must be at most 2**53"),
+])
+def test_unreadable_row_exits_2(golden_study_file, tmp_path, capsys, row, message):
+    # A cell past the csv module's field limit, and a count whose float is
+    # not exact, are bad input: one error line, no traceback.
+    study = tmp_path / "study.csv"
+    study.write_text(golden_study_file.read_text(encoding="utf-8") + row + "\n",
+                     encoding="utf-8")
+    for argv in (["analyze", *FAST_FLAGS], ["surface", "--participant", "P1"]):
+        assert cli.main([*argv, "--input", str(study)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+        assert message in err and "Traceback" not in err
+
+
+def test_counts_up_to_2_53_are_analyzed(tmp_path, capsys):
+    study = tmp_path / "study.csv"
+    study.write_text("participant_id,n0,N0,n1,N1,c0,C0,c1,C1\n"
+                     f"P1,31,{2**53},85,93562,8,93883,43,{2**53}\n", encoding="utf-8")
+    assert cli.main(["analyze", "--input", str(study), *FAST_FLAGS]) == 0
+    assert cli.main(["surface", "--input", str(study), "--participant", "P1",
+                     "--grid", "grid_fp=11,grid_fn=3"]) == 0
+    out = capsys.readouterr().out
+    assert f'"N0": {2**53},' in out and "fp0,fn0,fp1,fn1,in_set,p_theta\n" in out
+
+
 def test_simulate_writes_one_summary_row(tmp_path):
     out = tmp_path / "cell.csv"
     proc = run_cli(
@@ -257,9 +287,10 @@ def test_surface_exports_the_full_grid(golden_study_file, tmp_path):
 
 def csv_module_surface(grid) -> str:
     """The surface export as csv.writer wrote it, with one repr per cell."""
-    rows = np.column_stack([grid.fp0, grid.fn0, grid.fp1, grid.fn1])
-    _, keep = np.unique(rows, axis=0, return_index=True)
-    columns = (grid.fp0, grid.fn0, grid.fp1, grid.fn1, grid.in_set, grid.p_theta)
+    blocks = [nuisance._mesh(*axes, grid.equal_fn) for axes in grid.meshes]
+    points = [np.concatenate(column) for column in zip(*blocks)]
+    _, keep = np.unique(np.column_stack(points), axis=0, return_index=True)
+    columns = (*points, grid.in_set, grid.p_theta)
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(["fp0", "fn0", "fp1", "fn1", "in_set", "p_theta"])

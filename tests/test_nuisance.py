@@ -2,7 +2,6 @@
 
 import csv
 import io
-import math
 
 import numpy as np
 import pytest
@@ -194,9 +193,8 @@ def test_grid_membership_matches_scalar_recheck(participant_one):
         )
         grid = build_grid(participant_one, config)
         for i in range(grid.n_points):
-            assert in_confidence_set(participant_one, grid.theta_at(i), config) == bool(
-                grid.in_set[i]
-            )
+            theta = MisclassRates(*nuisance._point(grid.meshes, grid.equal_fn, i))
+            assert in_confidence_set(participant_one, theta, config) == bool(grid.in_set[i])
 
 
 def surface_rows(grid) -> list[list[str]]:
@@ -206,10 +204,16 @@ def surface_rows(grid) -> list[list[str]]:
     return rows
 
 
+def mesh_columns(grid) -> list[np.ndarray]:
+    """The fp0, fn0, fp1 and fn1 of every evaluated point, in evaluation order."""
+    blocks = [nuisance._mesh(*axes, grid.equal_fn) for axes in grid.meshes]
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
 def test_grid_rows_sorted_and_unique(participant_one, pinned_config):
     grid = build_grid(participant_one, pinned_config)
     rows = np.array([[float(cell) for cell in row[:4]] for row in surface_rows(grid)])
-    points = np.column_stack([grid.fp0, grid.fn0, grid.fp1, grid.fn1])
+    points = np.column_stack(mesh_columns(grid))
     assert rows.shape[0] == np.unique(points, axis=0).shape[0]
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0]))
@@ -220,7 +224,7 @@ def test_equal_fn_grid_shares_the_axis(participant_one):
     config = SetConfig(alpha=0.05, fp_max=0.001, fn_max=0.4, grid_fp=7, grid_fn=5,
                        refine_levels=1)
     grid = build_grid(participant_one, config, assume_equal_fn=True)
-    assert np.array_equal(grid.fn0, grid.fn1)
+    assert all(fn0 == fn1 for _, fn0, _, fn1, *_ in surface_rows(grid))
 
 
 def test_separate_fn_grid_size(participant_one):
@@ -230,7 +234,7 @@ def test_separate_fn_grid_size(participant_one):
     assert shared.n_points == 5 * 5 * 3
     separate = build_grid(participant_one, config, assume_equal_fn=False)
     assert separate.n_points == 5 * 5 * 3 * 3
-    assert not np.array_equal(separate.fn0, separate.fn1)
+    assert any(fn0 != fn1 for _, fn0, _, fn1, *_ in surface_rows(separate))
 
 
 def test_refinement_only_tightens_the_bracket(participant_one, pinned_config):
@@ -262,21 +266,20 @@ def test_unusable_corner_is_nan_and_excluded():
         alpha=0.05, fp_max=0.8, fn_max=0.5, grid_fp=5, grid_fn=3, refine_levels=0
     )
     grid = build_grid(counts, config)
-    bad = grid.fp0 + grid.fn0 > 1.0 - 1e-6
-    assert bad.any()
-    assert np.isnan(grid.p_theta[bad]).all()
-    assert not grid.in_set[bad].any()
+    bad = [row for row in surface_rows(grid) if float(row[0]) + float(row[1]) > 1.0 - 1e-6]
+    assert bad
+    assert np.isnan([float(row[5]) for row in bad]).all()
+    assert not any(row[4] == "1" for row in bad)
 
 
-def test_theta_at_round_trips(participant_one):
+def test_point_round_trips(participant_one):
     config = SetConfig(alpha=0.05, fp_max=0.001, fn_max=0.2, grid_fp=4, grid_fn=3,
                        refine_levels=0)
     grid = build_grid(participant_one, config)
     rows = {tuple(map(float, row[:4])): row[4:] for row in surface_rows(grid)}
     assert len(rows) == grid.n_points
     for i in (0, grid.n_points // 2, grid.n_points - 1):
-        theta = grid.theta_at(i)
-        member, p_theta = rows[(theta.fp0, theta.fn0, theta.fp1, theta.fn1)]
+        member, p_theta = rows[nuisance._point(grid.meshes, grid.equal_fn, i)]
         assert member in ("0", "1")
         assert (member == "1", float(p_theta)) == (bool(grid.in_set[i]), float(grid.p_theta[i]))
 
@@ -293,18 +296,19 @@ def test_slab_size_cannot_change_results(participant_one, monkeypatch):
                 slabbed = build_grid(participant_one, config, assume_equal_fn=equal_fn)
             n_base = 15 * 15 * 5 ** (1 if equal_fn else 2)
             assert n_base < whole.n_points == slabbed.n_points
-            for name in ("in_set", "p_theta", "fp0", "fn0", "fp1", "fn1"):
-                assert np.array_equal(getattr(whole, name), getattr(slabbed, name),
-                                      equal_nan=name == "p_theta")
+            assert np.array_equal(whole.in_set, slabbed.in_set)
+            assert np.array_equal(whole.p_theta, slabbed.p_theta, equal_nan=True)
+            columns = mesh_columns(whole)
+            for column, slabbed_column in zip(columns, mesh_columns(slabbed)):
+                assert np.array_equal(column, slabbed_column)
             assert (whole.sup_p, whole.inf_p) == (slabbed.sup_p, slabbed.inf_p)
             assert surface_rows(whole) == surface_rows(slabbed)
-            for i in (0, n_base // 3, n_base - 1, n_base, whole.n_points - 1, -1):
-                theta = slabbed.theta_at(i)
-                assert theta == whole.theta_at(i)
-                assert theta == MisclassRates(float(whole.fp0[i]), float(whole.fn0[i]),
-                                              float(whole.fp1[i]), float(whole.fn1[i]))
+            for i in (0, n_base // 3, n_base - 1, n_base, whole.n_points - 1):
+                point = nuisance._point(slabbed.meshes, equal_fn, i)
+                assert point == nuisance._point(whole.meshes, equal_fn, i)
+                assert point == tuple(float(column[i]) for column in columns)
             with pytest.raises(IndexError):
-                slabbed.theta_at(slabbed.n_points)
+                nuisance._point(slabbed.meshes, equal_fn, slabbed.n_points)
 
 
 def test_grids_compare_and_hash_by_identity(participant_one):

@@ -15,9 +15,9 @@ PUBLIC_API = [
     "background_subtracted_magnitude", "bh_adjust", "build_grid",
     "clopper_pearson_interval", "control_z", "debias_proportion",
     "default_fp_max", "draw_instance", "in_confidence_set", "load_study",
-    "p_value_at", "per_protocol_filter", "responder_z", "run_cell",
-    "run_replications", "summarize", "unadjusted_p",
-    "wilson_interval", "write_report_csv", "write_report_json",
+    "p_value_at", "per_protocol_filter", "run_cell", "run_replications",
+    "summarize", "unadjusted_p", "wilson_interval", "write_report_csv",
+    "write_report_json",
 ]
 
 

@@ -4,7 +4,6 @@ import csv
 import io
 import json
 
-import numpy as np
 import pytest
 
 from respondercall import (
