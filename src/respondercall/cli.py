@@ -11,8 +11,10 @@ import argparse
 import csv
 import re
 import sys
-from dataclasses import fields, replace
+from contextlib import nullcontext
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .nuisance import _INTERVALS, ControlKind, SetConfig, build_grid
 from .simulate import SCENARIOS, SimulationConfig, SimulationSummary, run_cell
@@ -32,6 +34,45 @@ EXIT_EMPTY = 3
 _CONTROL_KINDS = [kind.value for kind in ControlKind]
 
 
+# Config fields whose flag is not --<field name>, with that flag's options.
+_FLAG_OF = {
+    "fdr_q": ("--fdr", {"metavar": "Q", "help": "BH level q"}),
+    "assume_equal_fn": ("--separate-fn", {"help": "vary fn0 and fn1 independently "
+                        "(constrained by --delta0) instead of sharing one axis"}),
+}
+_CHOICES = {"interval": _INTERVALS, "scenario": list(SCENARIOS)}
+# Each config's field types, with X | None read as X.
+_FIELD_TYPES = {
+    cls: {name: (get_args(hint) or (hint,))[0] for name, hint in get_type_hints(cls).items()}
+    for cls in (AnalysisConfig, SimulationConfig, SetConfig)
+}
+# surface --grid key -> type: SetConfig's fields but control_kind, plus equal_fn.
+_GRID_KEYS = {k: t for k, t in _FIELD_TYPES[SetConfig].items() if k != "control_kind"}
+_GRID_KEYS["equal_fn"] = bool
+
+
+def _flag(name: str) -> tuple[str, dict]:
+    """The flag of a config field, and its options beyond type and choices."""
+    return _FLAG_OF.get(name, ("--" + name.replace("_", "-"), {}))
+
+
+def _add_setting_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of cls, typed, and required where the field has no default."""
+    # Each setting flag stores into the config field of its dest only when
+    # given; every default is the config dataclass's own.
+    for f in fields(cls):
+        flag, options = _flag(f.name)
+        kind = _FIELD_TYPES[cls][f.name]
+        if kind is bool:  # the flag flips the field's default
+            options = {**options, "action": "store_false" if f.default else "store_true"}
+        else:
+            options = {**options, "type": kind, "choices": _CHOICES.get(f.name)}
+        parser.add_argument(
+            flag, dest=f.name, required=f.default is MISSING, default=argparse.SUPPRESS,
+            **options,
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="respondercall",
@@ -39,62 +80,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Each setting flag stores into the config field of its dest only when
-    # given; every default is the config dataclass's own.
-    analyze = sub.add_parser(
-        "analyze", help="analyze a study CSV", argument_default=argparse.SUPPRESS
-    )
+    analyze = sub.add_parser("analyze", help="analyze a study CSV")
     analyze.add_argument("--input", required=True, help="study CSV path")
     analyze.add_argument(
         "--out",
-        default=None,
         help="report path (.json writes the JSON report plus a .csv mirror, "
         ".csv writes only the CSV); default prints JSON to stdout",
     )
-    analyze.add_argument("--alpha", type=float)
-    analyze.add_argument("--alpha-prime", type=float)
-    analyze.add_argument("--fdr", dest="fdr_q", metavar="Q", type=float,
-                         help="BH level q")
-    analyze.add_argument("--min-total", type=int)
-    analyze.add_argument("--fp-max", type=float)
-    analyze.add_argument("--fn-max", type=float)
-    analyze.add_argument("--grid-fp", type=int)
-    analyze.add_argument("--grid-fn", type=int)
-    analyze.add_argument("--refine-levels", type=int)
-    analyze.add_argument("--delta0", type=float)
-    analyze.add_argument(
-        "--separate-fn",
-        dest="assume_equal_fn",
-        action="store_false",
-        help="vary fn0 and fn1 independently (constrained by --delta0) "
-        "instead of sharing one axis",
-    )
-    analyze.add_argument("--interval", choices=_INTERVALS)
+    _add_setting_flags(analyze, AnalysisConfig)
     analyze.add_argument(
         "--control-kind",
-        default=None,
         choices=_CONTROL_KINDS,
         help="override the control kind for every record",
     )
 
-    simulate = sub.add_parser(
-        "simulate", help="simulate one cell", argument_default=argparse.SUPPRESS
-    )
-    simulate.add_argument("--scenario", required=True, choices=list(SCENARIOS))
-    simulate.add_argument("--gamma", type=float, required=True)
-    simulate.add_argument("--n-control", type=int, required=True)
-    simulate.add_argument("--reps", type=int, required=True)
-    simulate.add_argument("--seed", type=int)
-    simulate.add_argument("--n-primary", type=int)
-    simulate.add_argument("--responder-prob", type=float)
-    simulate.add_argument("--alpha", type=float)
-    simulate.add_argument("--alpha-prime", type=float)
-    simulate.add_argument("--p-control", type=float)
-    simulate.add_argument("--fn-max", type=float)
-    simulate.add_argument("--grid-fp", type=int)
-    simulate.add_argument("--grid-fn", type=int)
-    simulate.add_argument("--refine-levels", type=int)
-    simulate.add_argument("--out", default=None, help="output CSV path; default stdout")
+    simulate = sub.add_parser("simulate", help="simulate one cell")
+    _add_setting_flags(simulate, SimulationConfig)
+    simulate.add_argument("--out", help="output CSV path; default stdout")
 
     surface = sub.add_parser("surface", help="export one participant's rate grid")
     surface.add_argument("--input", required=True, help="study CSV path")
@@ -102,8 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     surface.add_argument(
         "--grid",
         default="",
-        help="comma-separated key=value settings: alpha, fp_max, fn_max, "
-        "grid_fp, grid_fn, refine_levels, delta0, equal_fn, interval",
+        help="comma-separated key=value settings: " + ", ".join(_GRID_KEYS),
     )
     surface.add_argument("--control-kind", choices=_CONTROL_KINDS)
     surface.add_argument("--out", help="output CSV path; default stdout")
@@ -116,9 +117,13 @@ def _config_from(cls, args):
     try:
         return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
     except ValueError as exc:  # name each refused field by its flag
-        flags = {f.name: "--" + f.name.replace("_", "-") for f in fields(cls)}
-        flags["fdr_q"] = "--fdr"  # not --fdr-q
+        flags = {f.name: _flag(f.name)[0] for f in fields(cls)}
         raise ValueError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))) from None
+
+
+def _output(path):
+    """A writable text stream for --out: the file at path, or stdout when path is None."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
 
 
 def _write_summary_csv(summary: SimulationSummary, stream) -> None:
@@ -142,15 +147,12 @@ def _run_analyze(args) -> int:
             file=sys.stderr,
         )
         return EXIT_EMPTY
-    if args.out is None:
-        write_report_json(report, sys.stdout)
-    else:
-        out = Path(args.out)
-        if out.suffix == ".json":
-            with open(out, "w", encoding="utf-8") as fh:
-                write_report_json(report, fh)
-            out = out.with_suffix(".csv")
-        with open(out, "w", encoding="utf-8") as fh:
+    out = None if args.out is None else Path(args.out)
+    if out is None or out.suffix == ".json":
+        with _output(out) as fh:
+            write_report_json(report, fh)
+    if out is not None:  # the CSV itself, or the mirror of a .json
+        with _output(out.with_suffix(".csv")) as fh:
             write_report_csv(report, fh)
     counts = report.responder_counts()
     print(
@@ -164,49 +166,31 @@ def _run_analyze(args) -> int:
 
 def _run_simulate(args) -> int:
     summary = run_cell(_config_from(SimulationConfig, args))
-    if args.out is None:
-        _write_summary_csv(summary, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_summary_csv(summary, fh)
+    with _output(args.out) as fh:
+        _write_summary_csv(summary, fh)
     return EXIT_OK
-
-
-_GRID_KEY_TYPES = {
-    "alpha": float,
-    "fp_max": float,
-    "fn_max": float,
-    "grid_fp": int,
-    "grid_fn": int,
-    "refine_levels": int,
-    "delta0": float,
-    "equal_fn": None,  # boolean, handled separately
-    "interval": str,
-}
 
 
 def _parse_grid_spec(text: str) -> tuple[dict, bool]:
     kwargs: dict = {}
-    equal_fn = True
     for item in filter(None, (part.strip() for part in text.split(","))):
         key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or key not in _GRID_KEY_TYPES:
-            raise ValueError(
-                f"bad grid setting {item!r}; known keys: {sorted(_GRID_KEY_TYPES)}"
-            )
-        value = value.strip()
-        if key == "equal_fn":
+        key, value = key.strip(), value.strip()
+        if not sep or key not in _GRID_KEYS:
+            raise ValueError(f"bad grid setting {item!r}; known keys: {sorted(_GRID_KEYS)}")
+        if key in kwargs:
+            raise ValueError(f"grid setting {key} is given more than once")
+        convert = _GRID_KEYS[key]
+        if convert is bool:
             if value.lower() not in ("0", "1", "true", "false"):
-                raise ValueError(f"equal_fn must be 0/1/true/false, got {value!r}")
-            equal_fn = value.lower() in ("1", "true")
+                raise ValueError(f"{key} must be 0/1/true/false, got {value!r}")
+            kwargs[key] = value.lower() in ("1", "true")
         else:
-            convert = _GRID_KEY_TYPES[key]
             try:
                 kwargs[key] = convert(value)
             except ValueError:
                 raise ValueError(f"{key} must be {convert.__name__}, got {value!r}") from None
-    return kwargs, equal_fn
+    return kwargs, kwargs.pop("equal_fn", True)
 
 
 def _run_surface(args) -> int:
@@ -217,14 +201,11 @@ def _run_surface(args) -> int:
         raise ValueError(f"participant {args.participant!r} not found")
     record = match[0]
     kind = ControlKind(args.control_kind) if args.control_kind else record.control_kind
-    config = SetConfig(alpha=kwargs.pop("alpha", 0.05), control_kind=kind, **kwargs)
+    config = SetConfig(**{"alpha": AnalysisConfig.alpha, **kwargs}, control_kind=kind)
     grid = build_grid(record.counts, config, assume_equal_fn=equal_fn)
 
-    if args.out is None:
-        sys.stdout.writelines(grid.to_rows())
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(grid.to_rows())
+    with _output(args.out) as fh:
+        fh.writelines(grid.to_rows())
     return EXIT_OK
 
 

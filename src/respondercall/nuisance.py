@@ -62,6 +62,9 @@ class ControlKind(str, Enum):
 _INTERVALS = ("wilson", "clopper-pearson")
 _SLAB_POINTS = 2**18  # points per base-mesh slab: bounds evaluation temporaries
 _ROW_BLOCK = 8192  # lines per block of surface CSV text: bounds the text held at once
+# Base-mesh points a grid may ask for: at 9 bytes a point (a membership flag
+# and a p-value), 2**27 points hold about 1.2 GB.
+_MAX_GRID_POINTS = 2**27
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,21 @@ def set_config_pair(
         SetConfig(alpha=settings.alpha_prime, control_kind=control_kind, **shared),
         SetConfig(alpha=settings.alpha, control_kind=control_kind, **shared),
     )
+
+
+def _check_grid_points(grid_fp: int, grid_fn: int, equal_fn: bool) -> None:
+    """Refuse a base mesh of more than _MAX_GRID_POINTS points, before any is made.
+
+    The mesh has grid_fp**2 * grid_fn points with a shared fn axis and
+    grid_fp**2 * grid_fn**2 with separate fn axes.
+    """
+    points = grid_fp**2 * grid_fn ** (1 if equal_fn else 2)
+    if points > _MAX_GRID_POINTS:
+        axes = "shared" if equal_fn else "separate"
+        raise ValueError(
+            f"grid_fp={grid_fp} and grid_fn={grid_fn} with {axes} fn axes ask for "
+            f"{points} grid points; at most {_MAX_GRID_POINTS} (2**27) are allowed"
+        )
 
 
 def wilson_interval(x: int, n: int, confidence: float) -> tuple[float, float]:
@@ -340,6 +358,7 @@ def build_grid(
     kept in evaluation order, neither sorted nor deduplicated; the base
     mesh is evaluated in slabs of consecutive fp0 values.
     """
+    _check_grid_points(config.grid_fp, config.grid_fn, assume_equal_fn)
     fp_max = config.fp_max if config.fp_max is not None else default_fp_max(counts)
     fn_max = config.fn_max
     fp_axis = _axis(fp_max, config.grid_fp)

@@ -33,7 +33,7 @@ import numpy as np
 from ._threads import ordered_map
 from .adjust import analyze_participant
 from .debias import AssayCounts, MisclassRates, p_value_at
-from .nuisance import SetConfig, set_config_pair
+from .nuisance import SetConfig, _check_grid_points, set_config_pair
 
 __all__ = [
     "SCENARIOS",
@@ -98,6 +98,8 @@ class SimulationConfig:
             )
         if not self.gamma > 1.0:  # NaN fails this test too
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if self.gamma == np.inf:
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.reps < 1:
@@ -116,6 +118,7 @@ class SimulationConfig:
         if self.p_control is not None and not 0.0 < self.p_control < 1.0:
             raise ValueError(f"p_control must lie in (0, 1), got {self.p_control}")
         set_config_pair(self)
+        _check_grid_points(self.grid_fp, self.grid_fn, equal_fn=True)
 
     @property
     def control_proportion(self) -> float:

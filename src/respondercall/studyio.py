@@ -22,7 +22,7 @@ from ._threads import ordered_map
 from .adjust import ResponderResult, analyze_participant
 from .debias import AssayCounts, InvalidCountsError
 from .fdr import FdrDecision, bh_adjust
-from .nuisance import ControlKind, SetConfig, set_config_pair
+from .nuisance import ControlKind, SetConfig, _check_grid_points, set_config_pair
 
 __all__ = [
     "SchemaError",
@@ -68,10 +68,10 @@ def load_study(path: str) -> list[StudyRecord]:
     """Read study records from a CSV file.
 
     A UTF-8 byte order mark is ignored, and so are rows whose fields
-    are all blank.  Raises SchemaError, naming the offending line, for
-    a missing or unknown column, a line the csv module cannot parse, a
-    malformed value, counts that fail validation, or a duplicated
-    participant_id.
+    are all blank.  A count is ASCII digits only.  Raises SchemaError,
+    naming the offending line, for a missing or unknown column, a line
+    the csv module cannot parse, a malformed value, counts that fail
+    validation, or a duplicated participant_id.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -110,11 +110,14 @@ def load_study(path: str) -> list[StudyRecord]:
             values: dict[str, int] = {}
             for name in _REQUIRED_COLUMNS[1:]:
                 text = cells[name]
-                try:
+                try:  # int() alone also takes "+1", "1_000" and non-ASCII digits
+                    if not (text.isascii() and text.isdigit()):
+                        raise ValueError(text)
                     values[name] = int(text)
                 except ValueError:
                     raise SchemaError(
-                        f"{path}:{line}: column {name} must be an integer, got {text!r}"
+                        f"{path}:{line}: column {name} must be an integer in ASCII digits, "
+                        f"got {text!r}"
                     ) from None
             try:
                 counts = AssayCounts(**values)
@@ -186,7 +189,10 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.fdr_q < 1.0:
             raise ValueError(f"fdr_q must lie in (0, 1), got {self.fdr_q}")
+        if self.min_total < 0:
+            raise ValueError(f"min_total must be non-negative, got {self.min_total}")
         set_config_pair(self)
+        _check_grid_points(self.grid_fp, self.grid_fn, self.assume_equal_fn)
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,25 @@ The surface byte and memory tests call cli.main in this process, so that
 they can patch a module constant or trace allocations.
 """
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from respondercall import SetConfig, build_grid, cli, load_study, nuisance
+from respondercall import (
+    AnalysisConfig, SetConfig, SimulationConfig, build_grid, cli, load_study, nuisance,
+)
 
 GOLDEN_FLAGS = [
     "--alpha", "0.05", "--alpha-prime", "0.05", "--fp-max", "0.002",
@@ -114,6 +120,7 @@ def test_analyze_reports_empty_after_filter(golden_study_file):
         (["--fdr", "0"], "error: --fdr must lie in (0, 1)"),
         (["--alpha-prime", "1.5"], "error: --alpha-prime must lie in (0, 1)"),
         (["--alpha", "1.5"], "error: --alpha must lie in (0, 1)"),
+        (["--min-total", "-5"], "error: --min-total must be non-negative, got -5"),
     ):
         proc = run_cli(
             "analyze", "--input", str(golden_study_file), "--min-total", "1000000",
@@ -240,6 +247,7 @@ def test_simulate_rejects_bad_settings():
     for flags, env, word in (
         (["--grid-fn", "1"], None, "error: --grid-fn must be at least 2, got 1"),
         (["--gamma", "nan"], None, "error: --gamma must exceed 1, got nan"),
+        (["--gamma", "inf"], None, "error: --gamma must be finite, got inf"),
         (["--seed", "-1"], None, "error: --seed must be non-negative, got -1"),
         (["--refine-levels", "-1"], None, "--refine-levels"),
         ([], {"RESPONDER_THREADS": "abc"}, "RESPONDER_THREADS"),
@@ -357,7 +365,9 @@ def test_surface_rejects_bad_grid_spec(golden_study_file):
     assert "bad grid setting" in proc.stderr
     # A value that does not convert is reported under its key.
     for spec, message in (("grid_fp=abc", "error: grid_fp must be int, got 'abc'"),
-                          ("alpha=x", "error: alpha must be float, got 'x'")):
+                          ("alpha=x", "error: alpha must be float, got 'x'"),
+                          ("grid_fp=11,grid_fn=3,grid_fp=21",
+                           "error: grid setting grid_fp is given more than once")):
         proc = run_cli(
             "surface", "--input", str(golden_study_file), "--participant", "P1",
             "--grid", spec,
@@ -365,6 +375,61 @@ def test_surface_rejects_bad_grid_spec(golden_study_file):
         assert proc.returncode == 2, (spec, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(message), (spec, proc.stderr)
+
+
+def test_huge_grid_exits_2_before_allocating(golden_study_file, capsys):
+    # Each of these asks for more than 10**14 base-mesh points.
+    study = ["--input", str(golden_study_file)]
+    cell = ["--scenario", "I", "--gamma", "2", "--n-control", "1000", "--reps", "2"]
+    flags = "error: --grid-fp=3000000 and --grid-fn=21"
+    for argv, message in (
+        (["analyze", *study, "--grid-fp", "3000000"], flags),
+        (["analyze", *study, "--grid-fn", "3000000", "--separate-fn"], "separate fn axes"),
+        (["simulate", *cell, "--grid-fp", "3000000"], flags),
+        (["surface", *study, "--participant", "P1", "--grid", "grid_fp=3000000"],
+         "error: grid_fp=3000000 and grid_fn=21"),
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and "at most 134217728 (2**27)" in err, err
+
+
+def field_type(hint):
+    """The type a flag or --grid key converts to: X for X | None."""
+    return (typing.get_args(hint) or (hint,))[0]
+
+
+def test_setting_flags_and_grid_keys_follow_the_configs():
+    # One option per config field, typed as the field; the bool field is a switch.
+    subparsers = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, config, other in (
+        ("analyze", AnalysisConfig, {"help", "input", "out", "control_kind"}),
+        ("simulate", SimulationConfig, {"help", "out"}),
+    ):
+        actions = subparsers.choices[command]._actions
+        for name, hint in typing.get_type_hints(config).items():
+            (action,) = [a for a in actions if a.dest == name]
+            if hint is bool:
+                assert isinstance(action, argparse._StoreFalseAction), name
+            else:
+                assert action.type is field_type(hint), name
+        assert {a.dest for a in actions} == {f.name for f in fields(config)} | other
+    # --grid takes SetConfig's fields but control_kind, plus equal_fn, each
+    # converted to its field's type.
+    keys = [f.name for f in fields(SetConfig) if f.name != "control_kind"] + ["equal_fn"]
+    samples = {"interval": "wilson", "equal_fn": "false"}
+    settings, equal_fn = cli._parse_grid_spec(
+        ",".join(f"{key}={samples.get(key, '2')}" for key in keys)
+    )
+    assert equal_fn is False and set(settings) == set(keys) - {"equal_fn"}
+    hints = typing.get_type_hints(SetConfig)
+    for key, value in settings.items():
+        assert type(value) is field_type(hints[key]), key
+    with pytest.raises(ValueError, match=re.escape(f"known keys: {sorted(keys)}")):
+        cli._parse_grid_spec("control_kind=negative")
 
 
 def test_surface_unknown_participant(golden_study_file):

@@ -34,14 +34,34 @@ def simulated_participants() -> list[AssayCounts]:
     return participants
 
 
+def unrefined(alpha: float, kind: str, interval: str, equal_fn: bool) -> SetConfig:
+    """A 41 x 5 grid with no refinement rounds, so every level shares its points."""
+    return SetConfig(alpha=alpha, control_kind=kind, delta0=0.0 if equal_fn else 0.1,
+                     grid_fp=41, grid_fn=5, refine_levels=0, interval=interval)
+
+
 @pytest.mark.parametrize("kind", ["generic", "negative"])
+@pytest.mark.parametrize("interval", ["wilson", "clopper-pearson"])
 @pytest.mark.parametrize("equal_fn", [True, False])
-def test_time_reversal_maps_the_bracket_onto_its_mirror(kind, equal_fn):
+def test_time_reversal_maps_the_bracket_onto_its_mirror(kind, interval, equal_fn):
     # On an unrefined grid the fp axes are shared, and so are the fn axes.
-    config = SetConfig(alpha=0.05, control_kind=kind, delta0=0.0 if equal_fn else 0.1,
-                       grid_fp=41, grid_fn=5, refine_levels=0)
+    config = unrefined(0.05, kind, interval, equal_fn)
     for counts in simulated_participants():
         assert_time_reversal(counts, config, equal_fn)
+
+
+@pytest.mark.parametrize("kind", ["generic", "negative"])
+@pytest.mark.parametrize("interval", ["wilson", "clopper-pearson"])
+@pytest.mark.parametrize("equal_fn", [True, False])
+def test_a_lower_level_set_contains_the_higher_level_set(kind, interval, equal_fn):
+    # A(0.05) lies inside A(0.005) point by point, so the wider set's
+    # [inf_p, sup_p] contains the narrower set's.
+    for counts in simulated_participants():
+        narrow = build_grid(counts, unrefined(0.05, kind, interval, equal_fn), equal_fn)
+        wide = build_grid(counts, unrefined(0.005, kind, interval, equal_fn), equal_fn)
+        assert np.all(narrow.in_set <= wide.in_set)
+        if narrow.nonempty:
+            assert wide.inf_p <= narrow.inf_p <= narrow.sup_p <= wide.sup_p
 
 
 @pytest.mark.xfail(strict=True, reason="refinement centres on the first of tied "

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -70,6 +71,11 @@ def test_load_errors_name_the_line(tmp_path):
         load_study(str(_write(tmp_path, header + "A,one,100,2,100,1,100,1,100\n")))
     with pytest.raises(SchemaError, match=":2:"):
         load_study(str(_write(tmp_path, header + "A,101,100,2,100,1,100,1,100\n")))
+    # A count is ASCII digits only, though int() also reads these three.
+    for text in ("1_000", "+31", "\u0663\u0661"):
+        message = f":2: column N0 must be an integer.*{re.escape(repr(text))}"
+        with pytest.raises(SchemaError, match=message):
+            load_study(str(_write(tmp_path, header + f"A,1,{text},2,100,1,100,1,100\n")))
     with pytest.raises(SchemaError, match=":2:.*expected 9 fields"):
         load_study(str(_write(tmp_path, header + "A,1,100\n")))
     with pytest.raises(SchemaError, match=":2:.*empty participant_id"):
